@@ -10,7 +10,7 @@ import (
 )
 
 // TestSteadyStateZeroAllocs is the allocation-budget gate: once the
-// freelists (batch arena, inflight pool, event pool, mbuf pool) are warm,
+// freelists (batch arena, inflight pool, event queue, mbuf pool) are warm,
 // a full Packer -> DMA -> Dispatcher -> module -> DMA -> Distributor burst
 // must not touch the heap at all. A regression here means some hot-path
 // object escaped its pool.
@@ -60,7 +60,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 	}
 
-	// Warm every freelist on the path: staging maps, arena segments,
+	// Warm every freelist on the path: staging areas, arena segments,
 	// inflight objects, simulator events, poll-loop scratch.
 	for i := 0; i < 50; i++ {
 		cycle()
@@ -87,5 +87,71 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if n := r.pool.InUse(); n != 0 {
 		t.Errorf("%d mbufs leaked between bursts", n)
+	}
+}
+
+// TestParkedIdleGapZeroAllocs is the allocation gate for parked poll
+// loops: each cycle sends two bursts 150 us apart inside one Run, so the
+// transfer cores park across the idle gap and wake for the second burst.
+// Parking, waking and the flush doorbell must not touch the heap, and
+// the gap must really be skipped rather than polled.
+func TestParkedIdleGapZeroAllocs(t *testing.T) {
+	r := newRig(t, Config{FlushTimeout: 5 * eventsim.Microsecond},
+		moduleSpec("rev", func() fpga.Module { return reverseModule{} }))
+	nf, err := r.rt.Register("gap", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := r.rt.SearchByName("rev", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.settle()
+
+	const nPkts = 16
+	payload := bytes.Repeat([]byte{0xA5}, 200)
+	pkts := make([]*mbuf.Mbuf, nPkts)
+	out := make([]*mbuf.Mbuf, 4*nPkts)
+	send := func() {
+		for i := range pkts {
+			m, aerr := r.pool.Alloc()
+			if aerr != nil {
+				t.Fatal(aerr)
+			}
+			if aerr := m.AppendBytes(payload); aerr != nil {
+				t.Fatal(aerr)
+			}
+			m.AccID = uint16(acc)
+			pkts[i] = m
+		}
+		if n, serr := r.rt.SendPackets(nf, pkts); serr != nil || n != nPkts {
+			t.Fatalf("sent %d of %d: %v", n, nPkts, serr)
+		}
+	}
+	var events uint64
+	cycle := func() {
+		send()
+		r.sim.At(r.sim.Now()+150*eventsim.Microsecond, send)
+		before := r.sim.Processed()
+		r.sim.Run(r.sim.Now() + 400*eventsim.Microsecond)
+		events = r.sim.Processed() - before
+		got, _ := r.rt.ReceivePackets(nf, out)
+		if got != 2*nPkts {
+			t.Fatalf("%d of %d packets returned", got, 2*nPkts)
+		}
+		for i := 0; i < got; i++ {
+			_ = r.pool.Free(out[i])
+		}
+	}
+	for i := 0; i < 50; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("burst-gap-burst cycle allocates %.1f objects, want 0", avg)
+	}
+	// Polling 400 us on two cores one empty poll at a time would take
+	// about 28,000 events.
+	if events > 1000 {
+		t.Errorf("cycle ran %d events: the idle gap was polled, not parked", events)
 	}
 }

@@ -132,8 +132,8 @@ func (r *Runtime) EvictPR(acc AccID) error {
 		if tx == nil {
 			continue
 		}
-		st, ok := tx.staging[acc]
-		if !ok {
+		st := tx.stagingOf(acc)
+		if st == nil {
 			continue
 		}
 		for i, m := range st.mbufs {
@@ -146,6 +146,7 @@ func (r *Runtime) EvictPR(acc AccID) error {
 			tx.arena.ret(st.buf)
 			st.buf = nil
 		}
+		tx.armBell()
 	}
 	// A later LoadPR of the same (name, node) overwrites the table key, so
 	// only remove it when it still resolves to the entry being evicted.
@@ -193,7 +194,7 @@ func (r *Runtime) SetBatchBytes(bytes int) error {
 		if tx == nil {
 			continue
 		}
-		for _, st := range tx.staging {
+		for _, st := range tx.order {
 			if r.cfg.Batching == AdaptiveBatching {
 				// Preserve the controller's position, clamped to the new
 				// window; it keeps adapting from there.
@@ -251,8 +252,8 @@ func (r *Runtime) SetAccBatchBytes(acc AccID, bytes int) error {
 		if tx == nil {
 			continue
 		}
-		st, ok := tx.staging[acc]
-		if !ok {
+		st := tx.stagingOf(acc)
+		if st == nil {
 			continue
 		}
 		st.batchCap = bytes
@@ -283,8 +284,9 @@ func (r *Runtime) SetAccFlushTimeout(acc AccID, d eventsim.Time) error {
 		if tx == nil {
 			continue
 		}
-		if st, ok := tx.staging[acc]; ok {
+		if st := tx.stagingOf(acc); st != nil {
 			st.flushTimeout = d
+			tx.armBell()
 		}
 	}
 	return nil

@@ -329,6 +329,15 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		devices[i] = cfg.FPGAs[i].Device
 	}
 	r.sched = placement.New(devices)
+	if r.tel != nil {
+		sim := r.sim
+		r.tel.RegisterGauge("dhl_sim_events_total", "",
+			"Simulator events executed so far (parked poll loops skip their empty polls).",
+			func() float64 { return float64(sim.Processed()) })
+		r.tel.RegisterGauge("dhl_sim_virtual_seconds", "",
+			"Simulated (virtual) time elapsed, in seconds.",
+			func() float64 { return sim.Now().Seconds() })
+	}
 	for node := 0; node < cfg.Nodes; node++ {
 		ibq, rerr := ring.New[*mbuf.Mbuf](fmt.Sprintf("ibq-node%d", node),
 			nextPow2(cfg.IBQSize), ring.SingleConsumer)

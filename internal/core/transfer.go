@@ -89,6 +89,7 @@ type TransferStats struct {
 // leases a fresh one, so the staging buffer is never reallocated or
 // regrown.
 type accState struct {
+	acc      AccID
 	buf      []byte
 	mbufs    []*mbuf.Mbuf
 	firstAt  eventsim.Time
@@ -132,8 +133,8 @@ type txEngine struct {
 	pool    *mbuf.Pool
 	arena   *batchArena
 	loop    *eventsim.PollLoop
-	staging map[AccID]*accState
-	order   []AccID // deterministic staging iteration order
+	staging []*accState // indexed by AccID; nil until the acc_id's first packet
+	order   []*accState // staging areas in first-seen order, for deterministic passes
 	stats   TransferStats
 	scratch []*mbuf.Mbuf
 
@@ -144,6 +145,14 @@ type txEngine struct {
 	sends    []*inflight
 	ibFree   []*inflight
 	commitFn func()
+
+	// bell is the flush doorbell: a timer that rings by the earliest
+	// staged flush deadline (bellAt; bellOn is false when nothing is
+	// staged). Its event is what wakes a parked TX loop in time to force
+	// a partial batch out, and bellAt gates the deadline pass.
+	bell   *eventsim.Timer
+	bellAt eventsim.Time
+	bellOn bool
 
 	// stopped flips when StopCores tears the pair down: completions that
 	// arrive afterwards are counted and failed instead of enqueued onto a
@@ -218,10 +227,10 @@ func (r *Runtime) AttachCores(node int, txCore, rxCore *eventsim.Core, pool *mbu
 		node:    node,
 		pool:    pool,
 		arena:   newBatchArena(r.cfg.BatchBytes),
-		staging: make(map[AccID]*accState),
 		scratch: make([]*mbuf.Mbuf, r.cfg.Burst),
 	}
 	tx.commitFn = tx.commit
+	tx.bell = r.sim.NewTimer(tx.armBell)
 	tx.loop = eventsim.NewPollLoop(r.sim, txCore, perf.PollIdleCycles, tx.body)
 	if r.armed && r.cfg.WatchdogTimeout > 0 {
 		tx.watchdog = r.cfg.WatchdogTimeout
@@ -246,6 +255,15 @@ func (r *Runtime) AttachCores(node int, txCore, rxCore *eventsim.Core, pool *mbu
 		tel.RegisterGauge("dhl_watchdog_watched", nodeLabel,
 			"Inflight batches currently under the RX watchdog's deadline watch.",
 			func() float64 { return float64(len(rx.watch)) })
+		for _, c := range []struct {
+			role string
+			core *eventsim.Core
+		}{{"tx", txCore}, {"rx", rxCore}} {
+			core := c.core
+			tel.RegisterGauge("dhl_core_idle_poll_ratio", fmt.Sprintf("core=\"%s/%d\"", c.role, node),
+				"Share of a transfer core's occupied time spent on empty polls.",
+				func() float64 { return core.IdlePollRatio() })
+		}
 	}
 	r.nodeTx[node] = tx
 	r.nodeRx[node] = rx
@@ -304,8 +322,7 @@ func (r *Runtime) StopCores(node int) {
 	}
 	tx.loop.Stop()
 	tx.stopped = true
-	for _, acc := range tx.order {
-		st := tx.staging[acc]
+	for _, st := range tx.order {
 		for i, m := range st.mbufs {
 			tx.stats.DropNoRoute++
 			_ = tx.pool.Free(m)
@@ -317,6 +334,7 @@ func (r *Runtime) StopCores(node int) {
 			st.buf = nil
 		}
 	}
+	tx.armBell()
 	if rx != nil {
 		var burst [64]*inflight
 		for {
@@ -343,15 +361,19 @@ func (t *txEngine) body() (float64, func()) {
 
 	// Deadline pass: force out batches that have waited past their
 	// accelerator's flush timeout (the per-acc override, or the global
-	// FlushTimeout).
-	for _, acc := range t.order {
-		st := t.staging[acc]
-		if len(st.mbufs) > 0 && now-st.firstAt >= st.flushAfter(t.r.cfg.FlushTimeout) {
-			if ib := t.flush(acc, st, false); ib != nil {
-				t.sends = append(t.sends, ib)
-				cycles += perf.RuntimeTxCyclesPerBatch
+	// FlushTimeout). bellAt is the earliest staged deadline and the
+	// doorbell rings by then, so reading the clock here keeps the
+	// idle-body contract: the pass cannot start to flush between events.
+	if t.bellOn && now >= t.bellAt {
+		for _, st := range t.order {
+			if len(st.mbufs) > 0 && now-st.firstAt >= st.flushAfter(t.r.cfg.FlushTimeout) {
+				if ib := t.flush(st.acc, st, false); ib != nil {
+					t.sends = append(t.sends, ib)
+					cycles += perf.RuntimeTxCyclesPerBatch
+				}
 			}
 		}
+		t.armBell()
 	}
 
 	// Back-pressure: when the DMA engines are booked out past the cap,
@@ -383,11 +405,9 @@ func (t *txEngine) body() (float64, func()) {
 	}
 	for _, m := range t.scratch[:n] {
 		acc := AccID(m.AccID)
-		st, ok := t.staging[acc]
-		if !ok {
+		st := t.stagingOf(acc)
+		if st == nil {
 			st = t.newAccState(acc)
-			t.staging[acc] = st
-			t.order = append(t.order, acc)
 		}
 		recLen := dhlproto.RecordOverhead + m.Len()
 		if len(st.buf)+recLen > st.effBatch && len(st.mbufs) > 0 {
@@ -400,7 +420,7 @@ func (t *txEngine) body() (float64, func()) {
 			st.buf = t.arena.lease()
 		}
 		if len(st.mbufs) == 0 {
-			st.firstAt = t.r.sim.Now()
+			st.firstAt = now
 		}
 		var err error
 		st.buf, err = dhlproto.AppendRecordFit(st.buf, m.NFID, m.AccID, m.Data())
@@ -421,11 +441,50 @@ func (t *txEngine) body() (float64, func()) {
 			}
 		}
 	}
+	t.armBell()
 	return cycles, t.pendingCommit()
 }
 
+// stagingOf returns acc's staging area, or nil before its first packet.
+//
+//dhl:hotpath
+func (t *txEngine) stagingOf(acc AccID) *accState {
+	if int(acc) < len(t.staging) {
+		return t.staging[acc]
+	}
+	return nil
+}
+
+// armBell records the earliest staged flush deadline in bellAt and makes
+// sure the doorbell rings no later than that. A timer already armed for
+// an earlier instant is left alone: it rings early, and its callback
+// (armBell again) re-arms for whatever deadline is then pending. Busy
+// staging therefore costs at most one doorbell event per flush timeout,
+// not one per batch.
+//
+//dhl:hotpath
+func (t *txEngine) armBell() {
+	on, at := false, eventsim.Time(0)
+	for _, st := range t.order {
+		if len(st.mbufs) == 0 {
+			continue
+		}
+		if d := st.firstAt + st.flushAfter(t.r.cfg.FlushTimeout); !on || d < at {
+			on, at = true, d
+		}
+	}
+	t.bellOn, t.bellAt = on, at
+	// A deadline already due needs no doorbell: armBell runs inside an
+	// event (a poll, a retune, the doorbell itself), and the TX core
+	// polls again after every event.
+	now := t.r.sim.Now()
+	if on && at > now && (!t.bell.Armed() || at < t.bell.When()) {
+		t.bell.Reset(at - now)
+	}
+}
+
 // newAccState is the cold constructor for a first-seen acc_id's staging
-// area; //go:noinline keeps its allocation out of body's //dhl:hotpath
+// area; //go:noinline keeps its allocations out of body's //dhl:hotpath
 // range under escape analysis. Per-acc tuning set before the first
 // packet arrived (SetAccBatchBytes / SetAccFlushTimeout record into
 // Runtime.accTune) is picked up here, so overrides survive staging
@@ -433,7 +492,7 @@ func (t *txEngine) body() (float64, func()) {
 //
 //go:noinline
 func (t *txEngine) newAccState(acc AccID) *accState {
-	st := &accState{effBatch: t.r.cfg.BatchBytes}
+	st := &accState{acc: acc, effBatch: t.r.cfg.BatchBytes}
 	if tune, ok := t.r.accTune[acc]; ok {
 		if tune.BatchBytes != 0 {
 			st.effBatch = tune.BatchBytes
@@ -441,6 +500,11 @@ func (t *txEngine) newAccState(acc AccID) *accState {
 		}
 		st.flushTimeout = tune.FlushTimeout
 	}
+	if int(acc) >= len(t.staging) {
+		t.staging = append(t.staging, make([]*accState, int(acc)+1-len(t.staging))...)
+	}
+	t.staging[acc] = st
+	t.order = append(t.order, st)
 	return st
 }
 

@@ -9,7 +9,6 @@
 package eventsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync"
@@ -63,44 +62,6 @@ func FromSeconds(s float64) Time {
 	return Time(s * float64(Second))
 }
 
-// event is a single scheduled callback.
-type event struct {
-	at  Time
-	seq uint64 // tie-breaker for deterministic FIFO ordering at equal times
-	fn  func()
-}
-
-// eventHeap orders events by (time, insertion sequence).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		return
-	}
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
 // Sim is a single-threaded discrete-event simulation.
 //
 // Sim is not safe for concurrent use: all actors run on the event loop
@@ -112,15 +73,25 @@ func (h *eventHeap) Pop() any {
 type Sim struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
+	events  queue
 	stopped bool
 	nEvents uint64
 
-	// evFree recycles event objects so steady-state scheduling does not
-	// heap-allocate: the poll loops and DMA engines schedule one event per
-	// iteration/transfer, which would otherwise dominate the data path's
-	// allocation profile.
-	evFree []*event
+	// Idle poll loops park here instead of in events (see PollLoop). The
+	// parked queue is merged with events in (at, seq) order when Run
+	// picks the next callback, but bound ignores it, so parked loops
+	// never hold each other awake. loops lists every poll loop, for
+	// unpark; ahead counts the parked loops a fast-forward has charged
+	// ticks past the clock, and aheadTo is the latest tick they skipped
+	// to; horizon is the running Run's until. epoch changes whenever an
+	// event may have changed state: every event counts except a poll
+	// tick that found nothing to do.
+	parked  queue
+	loops   []*PollLoop
+	ahead   int
+	aheadTo Time
+	horizon Time
+	epoch   uint64
 
 	// External mailbox (Post). postPending lets Run's inner loop check for
 	// posted work with a single atomic load per event, so the data path
@@ -153,25 +124,14 @@ func (s *Sim) At(t Time, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
-	s.seq++
-	var ev *event
-	if n := len(s.evFree); n > 0 {
-		ev = s.evFree[n-1]
-		s.evFree[n-1] = nil
-		s.evFree = s.evFree[:n-1]
-		ev.at, ev.seq, ev.fn = t, s.seq, fn
-	} else {
-		ev = newEvent(t, s.seq, fn)
+	if s.ahead > 0 && t < s.aheadTo {
+		// A fast-forwarded loop has skipped ticks that could see this
+		// event. Only an idle body breaking the PollBody contract books
+		// work that early; unparking keeps even that exact.
+		s.unpark()
 	}
-	heap.Push(&s.events, ev)
-}
-
-// newEvent is the cold freelist-miss constructor; //go:noinline keeps its
-// allocation out of At's //dhl:hotpath body under escape analysis.
-//
-//go:noinline
-func newEvent(at Time, seq uint64, fn func()) *event {
-	return &event{at: at, seq: seq, fn: fn}
+	s.seq++
+	s.events.push(entry{at: t, seq: s.seq, fn: fn})
 }
 
 // After schedules fn to run d picoseconds from now.
@@ -232,34 +192,38 @@ func (s *Sim) drainPosted() {
 // Between events (and once on entry) Run drains the external mailbox, so
 // functions handed to Post from other goroutines execute here, on the
 // driving goroutine, serialized against the actors.
+//
+// No parked poll loop outlives Run: before each mailbox drain, and when
+// Run returns, every parked loop is unparked onto its next tick after
+// the current time. Posted functions and the code between Run calls may
+// therefore change state freely: the loops see the change at the same
+// tick an unparked loop would have.
 func (s *Sim) Run(until Time) uint64 {
 	s.stopped = false
+	s.horizon = until
 	var n uint64
 	if s.postPending.Load() {
 		s.drainPosted()
 	}
-	for len(s.events) > 0 && !s.stopped {
-		next := s.events[0]
-		if next.at > until {
+	for !s.stopped {
+		q := s.next()
+		if q == nil || (*q)[0].at > until {
 			break
 		}
-		ev, ok := heap.Pop(&s.events).(*event)
-		if !ok {
-			break
+		if q == &s.events {
+			s.epoch++
 		}
+		ev := q.pop()
 		s.now = ev.at
-		fn := ev.fn
-		// Recycle before running fn: the event is off the heap and fn may
-		// schedule new work, which then reuses the hottest object first.
-		ev.fn = nil
-		s.evFree = append(s.evFree, ev)
-		fn()
+		ev.fn()
 		n++
 		s.nEvents++
 		if s.postPending.Load() {
+			s.unpark()
 			s.drainPosted()
 		}
 	}
+	s.unpark()
 	// Advance the clock to the horizon even if the queue drained early so
 	// that rate computations over [0, until] are well-defined.
 	if !s.stopped && s.now < until && until != Time(math.MaxInt64) {
@@ -268,10 +232,75 @@ func (s *Sim) Run(until Time) uint64 {
 	return n
 }
 
+// next returns the queue holding the earliest pending callback, or nil
+// when both are empty.
+//
+//dhl:hotpath
+func (s *Sim) next() *queue {
+	switch {
+	case len(s.parked) == 0:
+		if len(s.events) == 0 {
+			return nil
+		}
+		return &s.events
+	case len(s.events) == 0 || s.parked[0].before(&s.events[0]):
+		return &s.parked
+	default:
+		return &s.events
+	}
+}
+
+// bound is the instant a parked loop must not skip past: the earliest
+// pending event, or just past the running Run's horizon when that comes
+// first, so no parked loop is left charged ahead of the clock when Run
+// returns. math.MaxInt64 means there is nothing to wait for.
+func (s *Sim) bound() Time {
+	b := Time(math.MaxInt64)
+	if s.horizon < b {
+		b = s.horizon + 1
+	}
+	if len(s.events) > 0 && s.events[0].at < b {
+		b = s.events[0].at
+	}
+	return b
+}
+
+// parkedAt reports whether a loop with tick period d is parked at t.
+func (s *Sim) parkedAt(t, d Time) bool {
+	for _, p := range s.loops {
+		if p.parked && p.parkAt == t && p.period == d {
+			return true
+		}
+	}
+	return false
+}
+
+// unpark takes every parked loop back to its first tick after the
+// current time and books that tick as an ordinary event, under the seq
+// it was parked with. Cold: it runs when Run returns, and when something
+// other than an event (a Post drain) is about to change state while
+// loops are parked.
+func (s *Sim) unpark() {
+	if len(s.parked) == 0 {
+		return
+	}
+	for _, p := range s.loops {
+		if p.parked {
+			p.rewind(s.now)
+			p.parked = false
+			s.events.push(entry{at: p.parkAt, seq: p.parkSeq, fn: p.step})
+		}
+	}
+	clear(s.parked)
+	s.parked = s.parked[:0]
+	s.ahead, s.aheadTo = 0, 0
+}
+
 // RunAll executes events until the queue is empty.
 func (s *Sim) RunAll() uint64 {
 	return s.Run(Time(math.MaxInt64))
 }
 
-// Pending reports the number of scheduled-but-unexecuted events.
-func (s *Sim) Pending() int { return len(s.events) }
+// Pending reports the number of scheduled-but-unexecuted events, a
+// parked poll loop's next tick included.
+func (s *Sim) Pending() int { return len(s.events) + len(s.parked) }

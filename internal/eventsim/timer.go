@@ -3,13 +3,15 @@ package eventsim
 // Timer is a reusable, cancellable one-shot deadline on the simulation
 // clock, built for the transfer layer's batch watchdog.
 //
-// The event heap has no removal operation (events are pooled and popped
-// in order), so Stop and Reset work by validation at fire time: each
-// scheduled event checks whether the timer is still armed for a deadline
-// that has arrived before invoking the callback. Stale events from a
-// stopped or re-armed timer fire as cheap no-ops. After construction the
-// timer is allocation-free: events come from the sim's pool and the fire
-// thunk is bound once.
+// The event queue has no removal operation, so Stop and Reset work by
+// validation at fire time: each scheduled event checks whether the timer
+// is still armed for a deadline that has arrived before invoking the
+// callback. Stale events from a stopped or re-armed timer fire as cheap
+// no-ops. After construction the timer is allocation-free: events are
+// stored by value in the queue and the fire thunk is bound once.
+//
+// A Timer is also how a PollBody backs time-based work with an event:
+// armed at a deadline, it wakes any parked poll loop in time to see it.
 type Timer struct {
 	sim    *Sim
 	fn     func()
@@ -38,7 +40,7 @@ func (t *Timer) When() Time {
 
 // Reset arms the timer to fire d from now, replacing any earlier
 // deadline. Resetting an armed timer is cheap but not free — it books
-// one pooled event per call — so periodic users should re-arm from the
+// one event per call — so periodic users should re-arm from the
 // callback rather than on every observation.
 func (t *Timer) Reset(d Time) {
 	if d < 0 {

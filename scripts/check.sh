@@ -5,7 +5,9 @@
 # formatting, then vet, then dhl-lint (the DHL-specific invariants), then
 # the build, then the race-clean short test suite, then a full (un-short)
 # race pass over the two lock-free packages whose bugs only show up under
-# the race detector.
+# the race detector. The dhl-bench golden step diffs every simulated
+# output against testdata/dhl-bench-quick-all.golden and BENCH_pr8.json:
+# a change that is meant to be host-only must leave them byte-identical.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +46,20 @@ go test -race -count=1 ./internal/ring ./internal/mbuf
 
 echo "==> bench smoke (1 iteration, -benchmem)"
 go test -run '^$' -bench 'Pipeline|Distributor' -benchmem -benchtime=1x -count=1 ./internal/core
+
+echo "==> event-engine oracle (parked poll loops vs one-event-per-poll reference, zero-alloc park/wake)"
+go test -run 'ParkedLoopsMatchReference|PostFromAnotherGoroutineWakes|PostDrainUnparks|ParkWakeZeroAllocs|ParkedIdleGapZeroAllocs' \
+    -count=1 ./internal/eventsim ./internal/core
+
+echo "==> dhl-bench golden outputs (simulated results must stay byte-identical)"
+bench_dir=$(mktemp -d)
+trap 'rm -rf "$bench_dir"' EXIT
+go build -o "$bench_dir/dhl-bench" ./cmd/dhl-bench
+"$bench_dir/dhl-bench" -quick all > "$bench_dir/all.txt"
+diff -u testdata/dhl-bench-quick-all.golden "$bench_dir/all.txt"
+"$bench_dir/dhl-bench" -quick -json flowscale > "$bench_dir/flowscale.json"
+diff -u BENCH_pr8.json "$bench_dir/flowscale.json"
+rm -rf "$bench_dir"
 
 echo "==> chaos smoke (seeded fault-injection soak, -short)"
 go test -run Chaos -short -count=1 ./internal/core ./internal/harness
