@@ -1,17 +1,11 @@
 package harness
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/faultinject"
-	"github.com/opencloudnext/dhl-go/internal/fpga"
-	"github.com/opencloudnext/dhl-go/internal/hwfunc"
-	"github.com/opencloudnext/dhl-go/internal/mbuf"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
-	"github.com/opencloudnext/dhl-go/internal/stats"
 )
 
 // The board-failover experiment measures the blast radius of losing a
@@ -48,19 +42,7 @@ type BoardFailoverConfig struct {
 }
 
 func (c BoardFailoverConfig) withDefaults() BoardFailoverConfig {
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Packets <= 0 {
-		c.Packets = 9600
-	}
-	if c.FrameSize <= 0 {
-		c.FrameSize = 256
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 60
-	}
-	return c
+	return BoardFailoverConfig(FailoverConfig(c).withDefaults())
 }
 
 // BoardFailoverRun is one paced run's outcome: the common failover
@@ -99,38 +81,6 @@ const (
 	bfReplica
 )
 
-// newFleetRuntime stands up a DHL runtime over several boards on node 0.
-// plan, when non-nil, arms ONLY board 0 — the kill target must be
-// deterministic even when a replica spreads dispatches over the fleet.
-func (tb *testbed) newFleetRuntime(boards int, plan *faultinject.Plan, coreCfg core.Config) (*core.Runtime, []*fpga.Device, error) {
-	devs := make([]*fpga.Device, boards)
-	atts := make([]core.FPGAAttachment, boards)
-	for i := 0; i < boards; i++ {
-		var p *faultinject.Plan
-		if i == 0 {
-			p = plan
-		}
-		dev, err := fpga.NewDevice(tb.sim, fpga.Config{ID: i, Node: 0, Faults: p, Telemetry: coreCfg.Telemetry})
-		if err != nil {
-			return nil, nil, err
-		}
-		devs[i] = dev
-		atts[i] = core.FPGAAttachment{Device: dev, DMA: pcie.NewEngine(tb.sim, pcie.Config{Telemetry: coreCfg.Telemetry})}
-	}
-	coreCfg.Sim = tb.sim
-	coreCfg.FPGAs = atts
-	rt, err := core.NewRuntime(coreCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, spec := range hwfunc.Specs() {
-		if err := rt.RegisterModule(spec); err != nil {
-			return nil, nil, err
-		}
-	}
-	return rt, devs, nil
-}
-
 // RunBoardFailover runs the board-level failure experiment: a fault-free
 // baseline, a board loss recovered by live migration, and a board loss
 // absorbed by a warm replica — all from one seed.
@@ -162,179 +112,34 @@ func RunBoardFailover(cfg BoardFailoverConfig) (*BoardFailoverResult, error) {
 // fleet, killing board 0 mid-run for the fault variants.
 func runBoardFailoverOnce(cfg BoardFailoverConfig, mode boardFailoverMode, label string) (BoardFailoverRun, error) {
 	run := BoardFailoverRun{FailoverRun: FailoverRun{Label: label}, FinalBoard: -1}
-	tb, err := newTestbed(0)
-	if err != nil {
-		return run, err
-	}
 	var plan *faultinject.Plan
 	if mode != bfBaseline {
 		// Kill board 0 on its Nth dispatch, about a sixth of the run in
-		// (each burst packs into one batch; with a replica board 0 takes
-		// every other batch, so the loss lands a third of the way in).
-		killAt := cfg.Packets / (failoverBurst * 6)
-		if killAt < 1 {
-			killAt = 1
-		}
+		// (with a replica board 0 takes every other batch, so the loss
+		// lands a third of the way in).
+		var err error
 		if plan, err = faultinject.NewPlan(cfg.Seed,
-			faultinject.Spec{Kind: faultinject.BoardOffline, EveryN: uint64(killAt), Count: 1}); err != nil {
+			faultinject.Spec{Kind: faultinject.BoardOffline, EveryN: faultAt(cfg.Packets), Count: 1}); err != nil {
 			return run, err
 		}
 	}
-	rt, devs, err := tb.newFleetRuntime(2, plan, core.Config{
-		BatchBytes:      2048,
-		FlushTimeout:    5 * eventsim.Microsecond,
-		WatchdogTimeout: 250 * eventsim.Microsecond,
-	})
+	rig, err := newIPsecRig(2, "fleet-gen", core.Config{Faults: plan, WatchdogTimeout: 250 * eventsim.Microsecond}, false)
 	if err != nil {
 		return run, err
 	}
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
-		return run, err
-	}
-	nfID, err := rt.Register("fleet-gen", 0)
-	if err != nil {
-		return run, err
-	}
-	acc, err := rt.SearchByName(hwfunc.IPsecCryptoName, 0)
-	if err != nil {
-		return run, err
-	}
-	var key [32]byte
-	var authKey [20]byte
-	for i := range key {
-		key[i] = byte(i + 1)
-	}
-	for i := range authKey {
-		authKey[i] = byte(0xa0 + i)
-	}
-	blob, err := hwfunc.EncodeIPsecCryptoConfig(key[:], authKey[:], 0x01020304)
-	if err != nil {
-		return run, err
-	}
-	if err := rt.AccConfigure(acc, blob); err != nil {
-		return run, err
-	}
-	tb.settle(40 * eventsim.Millisecond) // initial ICAP load of the 5.6 MB bitstream
 	if mode == bfReplica {
-		if _, err := rt.Replicate(acc, -1); err != nil {
+		if _, err := rig.rt.Replicate(rig.acc, -1); err != nil {
 			return run, err
 		}
-		tb.settle(40 * eventsim.Millisecond) // warm the replica's PR + config replay
+		rig.tb.settle(40 * eventsim.Millisecond) // warm the replica's PR + config replay
 	}
-
-	nBursts := (cfg.Packets + failoverBurst - 1) / failoverBurst
-	duration := eventsim.Time(nBursts) * failoverIntervalPs
-	t0 := tb.sim.Now()
-	ts := stats.NewTimeSeries(duration.Seconds(), cfg.Buckets)
-
-	req := make([]byte, 0, hwfunc.IPsecReqPrefix+cfg.FrameSize)
-	req = binary.BigEndian.AppendUint16(req, 0)
-	for i := 0; i < cfg.FrameSize; i++ {
-		req = append(req, byte(i))
-	}
-
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-	}
-	scratch := make([]*mbuf.Mbuf, 64)
-	drain := func() {
-		for firstErr == nil {
-			n, err := rt.ReceivePackets(nfID, scratch)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if n == 0 {
-				return
-			}
-			at := (tb.sim.Now() - t0).Seconds()
-			for _, m := range scratch[:n] {
-				switch m.Status {
-				case mbuf.StatusUnprocessed:
-					run.DeliveredUnprocessed++
-				case mbuf.StatusFallback:
-					run.DeliveredFallback++
-					ts.Add(at, float64(m.Len()*8))
-				default:
-					run.DeliveredOK++
-					ts.Add(at, float64(m.Len()*8))
-				}
-				fail(tb.pool.Free(m))
-			}
-		}
-	}
-
-	sent := 0
-	batch := make([]*mbuf.Mbuf, 0, failoverBurst)
-	var tick func()
-	tick = func() {
-		drain()
-		if firstErr != nil {
-			return
-		}
-		batch = batch[:0]
-		for b := 0; b < failoverBurst && sent < cfg.Packets; b++ {
-			sent++
-			m, err := tb.pool.Alloc()
-			if err != nil {
-				run.SourceDrops++
-				continue
-			}
-			if err := m.AppendBytes(req); err != nil {
-				fail(err)
-				fail(tb.pool.Free(m))
-				return
-			}
-			m.AccID = uint16(acc)
-			batch = append(batch, m)
-		}
-		n, err := rt.SendPackets(nfID, batch)
-		if err != nil {
-			fail(err)
-			n = 0
-		}
-		for _, m := range batch[n:] {
-			run.SourceDrops++
-			fail(tb.pool.Free(m))
-		}
-		if sent < cfg.Packets {
-			tb.sim.After(failoverIntervalPs, tick)
-		}
-	}
-	tb.sim.After(0, tick)
-	tb.sim.Run(t0 + duration)
-
-	// Drain the tail: a re-place PR still in flight gets another 60 ms.
-	deadline := tb.sim.Now() + 60*eventsim.Millisecond
-	for tb.sim.Now() < deadline && tb.pool.InUse() > 0 && firstErr == nil {
-		tb.sim.Run(tb.sim.Now() + eventsim.Millisecond)
-		drain()
-	}
-	drain()
-	if firstErr != nil {
-		return run, firstErr
-	}
-
-	run.BucketUs = ts.BucketWidth() * 1e6
-	run.Curve = make([]float64, cfg.Buckets)
-	for i := range run.Curve {
-		run.Curve[i] = ts.Rate(i)
-	}
-	run.Leaked = tb.pool.InUse()
-	if run.Stats, err = rt.Stats(0); err != nil {
+	if run.FailoverRun, err = rig.paceFrames(FailoverConfig(cfg), label); err != nil {
 		return run, err
 	}
-	if run.Health, err = rt.AccHealth(acc); err != nil {
-		return run, err
-	}
-	if info, err := rt.AccInfoFor(acc); err == nil {
+	if info, err := rig.rt.AccInfoFor(rig.acc); err == nil {
 		run.FinalBoard = info.FPGA
 	}
-	in, _ := rt.Placement().Migrations(1)
-	run.MigratedIn = in
-	run.BoardLosses = devs[0].FaultCounters().BoardLosses
+	run.MigratedIn, _ = rig.rt.Placement().Migrations(1)
+	run.BoardLosses = rig.devs[0].FaultCounters().BoardLosses
 	return run, nil
 }

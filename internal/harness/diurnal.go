@@ -7,7 +7,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 	"github.com/opencloudnext/dhl-go/internal/netdev"
-	"github.com/opencloudnext/dhl-go/internal/nf"
 	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/perf"
 	"github.com/opencloudnext/dhl-go/internal/telemetry"
@@ -35,8 +34,6 @@ type DiurnalConfig struct {
 	Kind NFKind
 	// FrameSize in bytes (64..1500). Default 1024.
 	FrameSize int
-	// NICRateBps defaults to 40G.
-	NICRateBps float64
 	// PeakWireBps is the peak-phase offered load. Default 20 Gbps.
 	PeakWireBps float64
 	// TroughWireBps is the trough-phase offered load. Default 400 Mbps —
@@ -62,9 +59,6 @@ func (c DiurnalConfig) withDefaults() DiurnalConfig {
 	}
 	if c.FrameSize == 0 {
 		c.FrameSize = 1024
-	}
-	if c.NICRateBps == 0 {
-		c.NICRateBps = perf.NIC40GBps
 	}
 	if c.PeakWireBps == 0 {
 		c.PeakWireBps = 20e9
@@ -125,37 +119,23 @@ type ingressState struct {
 	nfDropped      uint64
 }
 
-// wireDHLIngressPressured starts the pressure-aware variant of the DHL
+// pressuredIngress starts the pressure-aware variant of the DHL
 // ingress core: IBQ-refused packets are held and re-offered on later
 // polls (zero silent drops), and while the hold-over buffer is deep the
 // loop stops pulling from the NIC so the backlog lands in the port's RX
 // rings as visible imissed counts instead of anonymous frees.
-func wireDHLIngressPressured(tb *testbed, rt *core.Runtime, app dhlNF, rxPort *netdev.Port, st *ingressState) {
-	ingressCore := tb.core()
+func (tb *testbed) pressuredIngress(rt *core.Runtime, app dhlNF, rxPort *netdev.Port, st *ingressState) {
 	rxBuf := make([]*mbuf.Mbuf, 64)
-	eventsim.NewPollLoop(tb.sim, ingressCore, perf.PollIdleCycles, func() (float64, func()) {
-		got := 0
+	eventsim.NewPollLoop(tb.sim, tb.core(), perf.PollIdleCycles, func() (float64, func()) {
+		var rx []*mbuf.Mbuf
 		if len(st.held) < 32 { // back-pressured: let the NIC rings absorb
-			for q := 0; q < rxPort.Queues() && got+32 <= len(rxBuf); q++ {
-				got += rxPort.RxBurst(q, rxBuf[got:got+32])
-			}
+			rx = tb.rxBurst(rxPort, rxBuf)
 		}
-		if got == 0 && len(st.held) == 0 {
+		if len(rx) == 0 && len(st.held) == 0 {
 			return 0, nil
 		}
-		cycles := 0.0
-		now := int64(tb.sim.Now())
-		for _, m := range rxBuf[:got] {
-			m.RxTimestamp = now
-			verdict, c := app.PreProcess(m)
-			cycles += perf.IORxCycles + c
-			if verdict != nf.VerdictForward {
-				st.nfDropped++
-				_ = tb.pool.Free(m)
-				continue
-			}
-			st.held = append(st.held, m)
-		}
+		var cycles float64
+		cycles, st.held = tb.preProcess(app, rx, 0, st.held, &st.nfDropped)
 		if len(st.held) == 0 {
 			return cycles, nil
 		}
@@ -165,8 +145,7 @@ func wireDHLIngressPressured(tb *testbed, rt *core.Runtime, app dhlNF, rxPort *n
 				// Hard send error (not back-pressure): the packets cannot be
 				// retried; free them and account the loss.
 				for _, m := range st.held {
-					st.silentDrops++
-					_ = tb.pool.Free(m)
+					tb.drop(m, &st.silentDrops)
 				}
 				st.held = st.held[:0]
 				return
@@ -194,11 +173,7 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rxPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 0, RateBps: cfg.NICRateBps, RxQueues: 2, RxQueueDepth: 512})
-	if err != nil {
-		return res, err
-	}
-	txPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 1, RateBps: cfg.NICRateBps})
+	rxPort, txPort, err := tb.ports(perf.NIC40GBps, 2)
 	if err != nil {
 		return res, err
 	}
@@ -206,14 +181,11 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 	// the fixed baseline must pay the same (zero-alloc) observation cost
 	// for the comparison to be fair.
 	tel := telemetry.New(1024)
-	rt, _, _, err := tb.newRuntime(pcie.Config{}, core.Config{Telemetry: tel})
+	rt, _, err := tb.newRuntime(1, pcie.Config{}, core.Config{Telemetry: tel})
 	if err != nil {
 		return res, err
 	}
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
-		return res, err
-	}
-	app, err := buildDHLApp(rt, cfg.Kind)
+	app, err := buildDHLApp(rt, cfg.Kind, dhlAppName[cfg.Kind])
 	if err != nil {
 		return res, err
 	}
@@ -223,8 +195,8 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 	}); err != nil {
 		return res, err
 	}
-	wireDHLIngressPressured(tb, rt, app, rxPort, st)
-	wireDHLEgressCounted(tb, rt, app, txPort, &st.nfDropped)
+	tb.pressuredIngress(rt, app, rxPort, st)
+	tb.dhlEgress(rt, app, txPort, &st.nfDropped)
 	tb.settle(60 * eventsim.Millisecond) // partial reconfiguration
 
 	var tun *tuner.Tuner
@@ -251,25 +223,9 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 	gen.Start()
 
 	measure := func(name string, offered float64) DiurnalPhase {
-		measStart := tb.sim.Now() + cfg.Warmup
-		measEnd := measStart + cfg.Window
-		txPort.SetMeasureWindow(measStart, measEnd)
-		tb.sim.Run(measEnd)
-		good, wire, pkts, lat := txPort.Measured(measEnd)
-		return DiurnalPhase{
-			Name:           name,
-			OfferedWireBps: offered,
-			Throughput: Throughput{
-				GoodBps: good, WireBps: wire, Pkts: pkts,
-				InputBps: float64(pkts) * float64(cfg.FrameSize) * 8 / cfg.Window.Seconds(),
-			},
-			Latency: Latency{
-				MeanUs: lat.Mean() / 1e6,
-				P50Us:  lat.Percentile(50) / 1e6,
-				P99Us:  lat.Percentile(99) / 1e6,
-				MaxUs:  lat.Max() / 1e6,
-			},
-		}
+		p := DiurnalPhase{Name: name, OfferedWireBps: offered}
+		p.Throughput, p.Latency = tb.runWindow(txPort, cfg.Warmup, cfg.Window, cfg.FrameSize)
+		return p
 	}
 
 	res.Peak = measure("peak", cfg.PeakWireBps)

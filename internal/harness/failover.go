@@ -8,6 +8,7 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/core"
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/faultinject"
+	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 	"github.com/opencloudnext/dhl-go/internal/pcie"
@@ -105,16 +106,17 @@ type FailoverResult struct {
 	Fallback   FailoverRun
 }
 
+// faultAt is the dispatched-batch count about a sixth of the way into a
+// paced run of packets (each burst packs into one batch).
+func faultAt(packets int) uint64 {
+	return uint64(max(1, packets/(failoverBurst*6)))
+}
+
 // failoverSpecs positions the persistent SEU about a sixth of the way into
-// the run (in dispatched-batch counts: each burst packs into one batch) and
-// sprinkles transient H2C faults for the DMA retry to absorb.
-func failoverSpecs(cfg FailoverConfig) []faultinject.Spec {
-	seuAt := cfg.Packets / (failoverBurst * 6)
-	if seuAt < 1 {
-		seuAt = 1
-	}
+// the run and sprinkles transient H2C faults for the DMA retry to absorb.
+func failoverSpecs(packets int) []faultinject.Spec {
 	return []faultinject.Spec{
-		{Kind: faultinject.RegionSEU, EveryN: uint64(seuAt), Count: 1},
+		{Kind: faultinject.RegionSEU, EveryN: faultAt(packets), Count: 1},
 		{Kind: faultinject.DMAH2CError, EveryN: 97, Count: 5},
 	}
 }
@@ -141,7 +143,7 @@ func RunFailover(cfg FailoverConfig) (*FailoverResult, error) {
 		{"fault/no-fallback", false, &res.NoFallback},
 		{"fault/fallback", true, &res.Fallback},
 	} {
-		plan, err := faultinject.NewPlan(cfg.Seed, failoverSpecs(cfg)...)
+		plan, err := faultinject.NewPlan(cfg.Seed, failoverSpecs(cfg.Packets)...)
 		if err != nil {
 			return nil, fmt.Errorf("harness: failover plan: %w", err)
 		}
@@ -158,34 +160,61 @@ func RunFailover(cfg FailoverConfig) (*FailoverResult, error) {
 	return res, nil
 }
 
-// runFailoverOnce stands up a fresh testbed, wires the ipsec-crypto
-// accelerator (optionally with its software fallback), and paces
-// cfg.Packets frames through it while bucketing delivered-and-processed
-// bytes into a goodput time series.
+// runFailoverOnce paces one run through a single-board rig armed with
+// plan, optionally with the software fallback registered.
 func runFailoverOnce(cfg FailoverConfig, plan *faultinject.Plan, withFallback bool, label string) (FailoverRun, error) {
-	run := FailoverRun{Label: label}
+	rig, err := newIPsecRig(1, "failover-gen", core.Config{Faults: plan}, withFallback)
+	if err != nil {
+		return FailoverRun{Label: label}, err
+	}
+	return rig.paceFrames(cfg, label)
+}
+
+// ipsecRig is the paced IPsec fault rig the failure experiments share: a
+// testbed whose runtime serves the ipsec-crypto accelerator to one source
+// NF. The source offers failoverBurst request records every
+// failoverIntervalPs; a drain before each burst empties the NF's OBQ and
+// counts every packet by delivery status.
+type ipsecRig struct {
+	tb   *testbed
+	rt   *core.Runtime
+	devs []*fpga.Device
+	nf   core.NFID
+	acc  core.AccID
+
+	// err is the first failure; it stops the source and the drain.
+	err error
+	// goodput buckets processed (OK or fallback) bits from t0 on; nil
+	// when the run records no curve.
+	goodput *stats.TimeSeries
+	t0      eventsim.Time
+	scratch []*mbuf.Mbuf
+
+	ok, fallback, unprocessed, sourceDrops uint64
+}
+
+// newIPsecRig stands up the rig over boards FPGAs with coreCfg's fault
+// plan and watchdog, registers the source NF as name, configures the
+// accelerator (and, with fallback, its software fallback), and settles
+// the initial ICAP load of the 5.6 MB bitstream.
+func newIPsecRig(boards int, name string, coreCfg core.Config, fallback bool) (*ipsecRig, error) {
 	tb, err := newTestbed(0)
 	if err != nil {
-		return run, err
+		return nil, err
 	}
-	rt, _, _, err := tb.newRuntime(pcie.Config{}, core.Config{
-		BatchBytes:   2048,
-		FlushTimeout: 5 * eventsim.Microsecond,
-		Faults:       plan,
-	})
+	coreCfg.BatchBytes = 2048
+	coreCfg.FlushTimeout = 5 * eventsim.Microsecond
+	rt, devs, err := tb.newRuntime(boards, pcie.Config{}, coreCfg)
 	if err != nil {
-		return run, err
+		return nil, err
 	}
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
-		return run, err
-	}
-	nfID, err := rt.Register("failover-gen", 0)
+	nfID, err := rt.Register(name, 0)
 	if err != nil {
-		return run, err
+		return nil, err
 	}
 	acc, err := rt.SearchByName(hwfunc.IPsecCryptoName, 0)
 	if err != nil {
-		return run, err
+		return nil, err
 	}
 	var key [32]byte
 	var authKey [20]byte
@@ -197,24 +226,128 @@ func runFailoverOnce(cfg FailoverConfig, plan *faultinject.Plan, withFallback bo
 	}
 	blob, err := hwfunc.EncodeIPsecCryptoConfig(key[:], authKey[:], 0x01020304)
 	if err != nil {
-		return run, err
+		return nil, err
 	}
 	if err := rt.AccConfigure(acc, blob); err != nil {
-		return run, err
+		return nil, err
 	}
-	if withFallback {
+	if fallback {
 		spec := hwfunc.Specs()[hwfunc.IPsecCryptoName]
 		if err := rt.RegisterFallback(hwfunc.IPsecCryptoName, 0, spec.New); err != nil {
-			return run, err
+			return nil, err
 		}
 	}
-	tb.settle(40 * eventsim.Millisecond) // initial ICAP load of the 5.6 MB bitstream
+	tb.settle(40 * eventsim.Millisecond)
+	return &ipsecRig{tb: tb, rt: rt, devs: devs, nf: nfID, acc: acc, scratch: make([]*mbuf.Mbuf, 64)}, nil
+}
 
-	nBursts := (cfg.Packets + failoverBurst - 1) / failoverBurst
-	duration := eventsim.Time(nBursts) * failoverIntervalPs
-	t0 := tb.sim.Now()
-	ts := stats.NewTimeSeries(duration.Seconds(), cfg.Buckets)
+func (r *ipsecRig) fail(err error) {
+	if r.err == nil && err != nil {
+		r.err = err
+	}
+}
 
+// drain empties the source NF's OBQ, counting each packet by delivery
+// status.
+func (r *ipsecRig) drain() {
+	for r.err == nil {
+		n, err := r.rt.ReceivePackets(r.nf, r.scratch)
+		if err != nil {
+			r.fail(err)
+			return
+		}
+		if n == 0 {
+			return
+		}
+		at := (r.tb.sim.Now() - r.t0).Seconds()
+		for _, m := range r.scratch[:n] {
+			switch m.Status {
+			case mbuf.StatusUnprocessed:
+				r.unprocessed++
+			case mbuf.StatusFallback:
+				r.fallback++
+			default:
+				r.ok++
+			}
+			if m.Status != mbuf.StatusUnprocessed && r.goodput != nil {
+				r.goodput.Add(at, float64(m.Len()*8))
+			}
+			r.fail(r.tb.pool.Free(m))
+		}
+	}
+}
+
+// pace offers packets request records, failoverBurst every
+// failoverIntervalPs. fill(i, m) writes record i into a fresh mbuf;
+// false drops it. With buckets > 0 the drain records a goodput curve of
+// that resolution over the pacing span.
+func (r *ipsecRig) pace(packets, buckets int, fill func(i int, m *mbuf.Mbuf) (bool, error)) error {
+	tb := r.tb
+	duration := eventsim.Time((packets+failoverBurst-1)/failoverBurst) * failoverIntervalPs
+	r.t0 = tb.sim.Now()
+	if buckets > 0 {
+		r.goodput = stats.NewTimeSeries(duration.Seconds(), buckets)
+	}
+	sent := 0
+	batch := make([]*mbuf.Mbuf, 0, failoverBurst)
+	var tick func()
+	tick = func() {
+		r.drain()
+		if r.err != nil {
+			return
+		}
+		batch = batch[:0]
+		for b := 0; b < failoverBurst && sent < packets; b++ {
+			i := sent
+			sent++
+			m, err := tb.pool.Alloc()
+			if err != nil {
+				r.sourceDrops++
+				continue
+			}
+			keep, err := fill(i, m)
+			if err != nil || !keep {
+				r.fail(err)
+				r.fail(tb.pool.Free(m))
+				if err != nil {
+					return
+				}
+				continue
+			}
+			m.AccID = uint16(r.acc)
+			batch = append(batch, m)
+		}
+		n, err := r.rt.SendPackets(r.nf, batch)
+		if err != nil {
+			r.fail(err)
+			n = 0
+		}
+		for _, m := range batch[n:] {
+			r.sourceDrops++
+			r.fail(tb.pool.Free(m))
+		}
+		if sent < packets {
+			tb.sim.After(failoverIntervalPs, tick)
+		}
+	}
+	tb.sim.After(0, tick)
+	tb.sim.Run(r.t0 + duration)
+
+	// Drain the tail: whatever is still in flight (including a pending
+	// ICAP reload) gets another 60 ms to complete and deliver.
+	deadline := tb.sim.Now() + 60*eventsim.Millisecond
+	for tb.sim.Now() < deadline && tb.pool.InUse() > 0 && r.err == nil {
+		tb.sim.Run(tb.sim.Now() + eventsim.Millisecond)
+		r.drain()
+	}
+	r.drain()
+	return r.err
+}
+
+// paceFrames paces cfg.Packets plaintext ipsec request records through
+// the rig and reports the run's goodput curve and ledgers.
+func (r *ipsecRig) paceFrames(cfg FailoverConfig, label string) (FailoverRun, error) {
+	run := FailoverRun{Label: label}
 	// The ipsec request record: 2-byte encryption offset (0: encrypt the
 	// whole frame) followed by the plaintext frame.
 	req := make([]byte, 0, hwfunc.IPsecReqPrefix+cfg.FrameSize)
@@ -222,106 +355,26 @@ func runFailoverOnce(cfg FailoverConfig, plan *faultinject.Plan, withFallback bo
 	for i := 0; i < cfg.FrameSize; i++ {
 		req = append(req, byte(i))
 	}
-
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-	}
-	scratch := make([]*mbuf.Mbuf, 64)
-	drain := func() {
-		for firstErr == nil {
-			n, err := rt.ReceivePackets(nfID, scratch)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if n == 0 {
-				return
-			}
-			at := (tb.sim.Now() - t0).Seconds()
-			for _, m := range scratch[:n] {
-				switch m.Status {
-				case mbuf.StatusUnprocessed:
-					run.DeliveredUnprocessed++
-				case mbuf.StatusFallback:
-					run.DeliveredFallback++
-					ts.Add(at, float64(m.Len()*8))
-				default:
-					run.DeliveredOK++
-					ts.Add(at, float64(m.Len()*8))
-				}
-				fail(tb.pool.Free(m))
-			}
-		}
+	if err := r.pace(cfg.Packets, cfg.Buckets, func(_ int, m *mbuf.Mbuf) (bool, error) {
+		return true, m.AppendBytes(req)
+	}); err != nil {
+		return run, err
 	}
 
-	sent := 0
-	batch := make([]*mbuf.Mbuf, 0, failoverBurst)
-	var tick func()
-	tick = func() {
-		drain()
-		if firstErr != nil {
-			return
-		}
-		batch = batch[:0]
-		for b := 0; b < failoverBurst && sent < cfg.Packets; b++ {
-			sent++
-			m, err := tb.pool.Alloc()
-			if err != nil {
-				run.SourceDrops++
-				continue
-			}
-			if err := m.AppendBytes(req); err != nil {
-				fail(err)
-				fail(tb.pool.Free(m))
-				return
-			}
-			m.AccID = uint16(acc)
-			batch = append(batch, m)
-		}
-		n, err := rt.SendPackets(nfID, batch)
-		if err != nil {
-			fail(err)
-			n = 0
-		}
-		for _, m := range batch[n:] {
-			run.SourceDrops++
-			fail(tb.pool.Free(m))
-		}
-		if sent < cfg.Packets {
-			tb.sim.After(failoverIntervalPs, tick)
-		}
-	}
-	tb.sim.After(0, tick)
-	tb.sim.Run(t0 + duration)
-
-	// Drain the tail: whatever is still in flight (including a pending
-	// ICAP reload) gets another 60 ms to complete and deliver.
-	deadline := tb.sim.Now() + 60*eventsim.Millisecond
-	for tb.sim.Now() < deadline && tb.pool.InUse() > 0 && firstErr == nil {
-		tb.sim.Run(tb.sim.Now() + eventsim.Millisecond)
-		drain()
-	}
-	drain()
-	if firstErr != nil {
-		return run, firstErr
-	}
-
-	run.BucketUs = ts.BucketWidth() * 1e6
+	run.BucketUs = r.goodput.BucketWidth() * 1e6
 	run.Curve = make([]float64, cfg.Buckets)
 	for i := range run.Curve {
-		run.Curve[i] = ts.Rate(i)
+		run.Curve[i] = r.goodput.Rate(i)
 	}
-	run.Leaked = tb.pool.InUse()
-	if run.Stats, err = rt.Stats(0); err != nil {
+	run.DeliveredOK, run.DeliveredFallback, run.DeliveredUnprocessed = r.ok, r.fallback, r.unprocessed
+	run.SourceDrops = r.sourceDrops
+	run.Leaked = r.tb.pool.InUse()
+	var err error
+	if run.Stats, err = r.rt.Stats(0); err != nil {
 		return run, err
 	}
-	if run.Health, err = rt.AccHealth(acc); err != nil {
-		return run, err
-	}
-	return run, nil
+	run.Health, err = r.rt.AccHealth(r.acc)
+	return run, err
 }
 
 // interiorMean averages a curve's interior buckets; the first and last

@@ -14,7 +14,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 	"github.com/opencloudnext/dhl-go/internal/netdev"
 	"github.com/opencloudnext/dhl-go/internal/nf"
-	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/perf"
 )
 
@@ -40,8 +39,7 @@ type FlowScaleConfig struct {
 	// FrameSize defaults to 128 B (small enough to stress per-packet
 	// state costs, large enough to carry the 5-tuple diversity).
 	FrameSize int
-	// NICRateBps defaults to 40G; OfferedWireBps to line rate.
-	NICRateBps     float64
+	// OfferedWireBps defaults to the 40G line rate.
 	OfferedWireBps float64
 	// Warmup and Window bound the measurement (defaults 2 ms and 10 ms).
 	Warmup eventsim.Time
@@ -66,11 +64,8 @@ func (c FlowScaleConfig) withDefaults() FlowScaleConfig {
 	if c.FrameSize == 0 {
 		c.FrameSize = 128
 	}
-	if c.NICRateBps == 0 {
-		c.NICRateBps = perf.NIC40GBps
-	}
 	if c.OfferedWireBps == 0 {
-		c.OfferedWireBps = c.NICRateBps
+		c.OfferedWireBps = perf.NIC40GBps
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 2 * eventsim.Millisecond
@@ -176,11 +171,7 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScaleResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rxPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 0, RateBps: cfg.NICRateBps, RxQueues: 2, RxQueueDepth: 512})
-	if err != nil {
-		return res, err
-	}
-	txPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 1, RateBps: cfg.NICRateBps})
+	rxPort, txPort, err := tb.ports(perf.NIC40GBps, 2)
 	if err != nil {
 		return res, err
 	}
@@ -232,21 +223,13 @@ func RunFlowScale(cfg FlowScaleConfig) (FlowScaleResult, error) {
 	}
 	tb.sim.After(tickEvery, tickLoop)
 
-	start := tb.sim.Now()
-	measStart := start + cfg.Warmup
-	measEnd := measStart + cfg.Window
-	txPort.SetMeasureWindow(measStart, measEnd)
 	gen.Start()
-	tb.sim.Run(measEnd)
+	res.Throughput, _ = tb.runWindow(txPort, cfg.Warmup, cfg.Window, cfg.FrameSize)
 	gen.Stop()
 	// Drain the pipeline: rings and queues empty out, every mbuf goes
 	// home, so the conservation ledger closes exactly.
-	tb.sim.Run(measEnd + eventsim.Millisecond)
+	tb.sim.Run(tb.sim.Now() + eventsim.Millisecond)
 	stopTicks = true
-
-	good, wire, pkts, _ := txPort.Measured(measEnd)
-	inputBps := float64(pkts) * float64(cfg.FrameSize) * 8 / cfg.Window.Seconds()
-	res.Throughput = Throughput{GoodBps: good, WireBps: wire, InputBps: inputBps, Pkts: pkts}
 
 	res.Tables = flowtab.Collect(ffw.FlowTabs())
 	st := res.Tables[0].Stats
@@ -353,61 +336,15 @@ type FlowStateFailoverResult struct {
 // fault transitions — that is the property under test.
 func RunFlowStateFailover(cfg FlowStateFailoverConfig) (*FlowStateFailoverResult, error) {
 	cfg = cfg.withDefaults()
-	res := &FlowStateFailoverResult{}
-	tb, err := newTestbed(0)
+	plan, err := faultinject.NewPlan(cfg.Seed, failoverSpecs(cfg.Packets)...)
 	if err != nil {
 		return nil, err
 	}
-	seuAt := cfg.Packets / (failoverBurst * 6)
-	if seuAt < 1 {
-		seuAt = 1
-	}
-	plan, err := faultinject.NewPlan(cfg.Seed,
-		faultinject.Spec{Kind: faultinject.RegionSEU, EveryN: uint64(seuAt), Count: 1},
-		faultinject.Spec{Kind: faultinject.DMAH2CError, EveryN: 97, Count: 5},
-	)
+	rig, err := newIPsecRig(1, "flowstate-gw", core.Config{Faults: plan}, true)
 	if err != nil {
 		return nil, err
 	}
-	rt, _, _, err := tb.newRuntime(pcie.Config{}, core.Config{
-		BatchBytes:   2048,
-		FlushTimeout: 5 * eventsim.Microsecond,
-		Faults:       plan,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
-		return nil, err
-	}
-	nfID, err := rt.Register("flowstate-gw", 0)
-	if err != nil {
-		return nil, err
-	}
-	acc, err := rt.SearchByName(hwfunc.IPsecCryptoName, 0)
-	if err != nil {
-		return nil, err
-	}
-	var key [32]byte
-	var authKey [20]byte
-	for i := range key {
-		key[i] = byte(i + 1)
-	}
-	for i := range authKey {
-		authKey[i] = byte(0xa0 + i)
-	}
-	blob, err := hwfunc.EncodeIPsecCryptoConfig(key[:], authKey[:], 0x01020304)
-	if err != nil {
-		return nil, err
-	}
-	if err := rt.AccConfigure(acc, blob); err != nil {
-		return nil, err
-	}
-	spec := hwfunc.Specs()[hwfunc.IPsecCryptoName]
-	if err := rt.RegisterFallback(hwfunc.IPsecCryptoName, 0, spec.New); err != nil {
-		return nil, err
-	}
-	tb.settle(40 * eventsim.Millisecond)
+	tb := rig.tb
 
 	// The NAT under audit: TTL armed but longer than the whole run, so
 	// idle expiry never fires and the shadow model must match exactly.
@@ -434,120 +371,44 @@ func RunFlowStateFailover(cfg FlowStateFailoverConfig) (*FlowStateFailoverResult
 		return frameBuf[:n], nil
 	}
 
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil && err != nil {
-			firstErr = err
+	if err := rig.pace(cfg.Packets, 0, func(i int, m *mbuf.Mbuf) (bool, error) {
+		flow := uint64(i % cfg.Flows)
+		frame, err := buildFlowFrame(flow)
+		if err != nil {
+			return false, err
 		}
+		if err := m.AppendBytes(frame); err != nil {
+			return false, err
+		}
+		// Host-side stateful stage: translate, then audit against the
+		// shadow model — a remapped flow is an immediate fail.
+		if v, _ := nat.ProcessOutbound(m); v != nf.VerdictForward {
+			return false, nil
+		}
+		f, err := eth.Parse(m.Data())
+		if err != nil {
+			return false, err
+		}
+		ext := f.SrcPort()
+		if prev, ok := shadow[flow]; ok && prev != ext {
+			return false, fmt.Errorf("harness: flow %d remapped %d -> %d mid-run", flow, prev, ext)
+		}
+		shadow[flow] = ext
+		// Wrap the translated frame as an ipsec request record:
+		// 2-byte encryption offset (0 = whole frame) + frame.
+		hdr, err := m.Prepend(hwfunc.IPsecReqPrefix)
+		if err != nil {
+			return false, err
+		}
+		binary.BigEndian.PutUint16(hdr, 0)
+		return true, nil
+	}); err != nil {
+		return nil, err
 	}
-	scratch := make([]*mbuf.Mbuf, 64)
-	drain := func() {
-		for firstErr == nil {
-			n, derr := rt.ReceivePackets(nfID, scratch)
-			if derr != nil {
-				fail(derr)
-				return
-			}
-			if n == 0 {
-				return
-			}
-			for _, m := range scratch[:n] {
-				switch m.Status {
-				case mbuf.StatusUnprocessed:
-					res.DeliveredUnprocessed++
-				case mbuf.StatusFallback:
-					res.DeliveredFallback++
-				default:
-					res.DeliveredOK++
-				}
-				fail(tb.pool.Free(m))
-			}
-		}
-	}
-
-	sent := 0
-	batch := make([]*mbuf.Mbuf, 0, failoverBurst)
-	var tick func()
-	tick = func() {
-		drain()
-		if firstErr != nil {
-			return
-		}
-		batch = batch[:0]
-		for b := 0; b < failoverBurst && sent < cfg.Packets; b++ {
-			flow := uint64(sent % cfg.Flows)
-			sent++
-			frame, ferr := buildFlowFrame(flow)
-			if ferr != nil {
-				fail(ferr)
-				return
-			}
-			m, aerr := tb.pool.Alloc()
-			if aerr != nil {
-				continue // source drop; the pool refills from drains
-			}
-			if err := m.AppendBytes(frame); err != nil {
-				fail(err)
-				fail(tb.pool.Free(m))
-				return
-			}
-			// Host-side stateful stage: translate, then audit against
-			// the shadow model — a remapped flow is an immediate fail.
-			if v, _ := nat.ProcessOutbound(m); v != nf.VerdictForward {
-				fail(tb.pool.Free(m))
-				continue
-			}
-			f, perr := eth.Parse(m.Data())
-			if perr != nil {
-				fail(perr)
-				fail(tb.pool.Free(m))
-				return
-			}
-			ext := f.SrcPort()
-			if prev, ok := shadow[flow]; ok {
-				if prev != ext {
-					fail(fmt.Errorf("harness: flow %d remapped %d -> %d mid-run", flow, prev, ext))
-					fail(tb.pool.Free(m))
-					return
-				}
-			} else {
-				shadow[flow] = ext
-			}
-			// Wrap the translated frame as an ipsec request record:
-			// 2-byte encryption offset (0 = whole frame) + frame.
-			hdr, herr := m.Prepend(hwfunc.IPsecReqPrefix)
-			if herr != nil {
-				fail(herr)
-				fail(tb.pool.Free(m))
-				return
-			}
-			binary.BigEndian.PutUint16(hdr, 0)
-			m.AccID = uint16(acc)
-			batch = append(batch, m)
-		}
-		n, serr := rt.SendPackets(nfID, batch)
-		if serr != nil {
-			fail(serr)
-			n = 0
-		}
-		for _, m := range batch[n:] {
-			fail(tb.pool.Free(m))
-		}
-		if sent < cfg.Packets {
-			tb.sim.After(failoverIntervalPs, tick)
-		}
-	}
-	tb.sim.After(0, tick)
-	tb.sim.Run(tb.sim.Now() + eventsim.Time(cfg.Packets/failoverBurst+1)*failoverIntervalPs)
-
-	deadline := tb.sim.Now() + 60*eventsim.Millisecond
-	for tb.sim.Now() < deadline && tb.pool.InUse() > 0 && firstErr == nil {
-		tb.sim.Run(tb.sim.Now() + eventsim.Millisecond)
-		drain()
-	}
-	drain()
-	if firstErr != nil {
-		return nil, firstErr
+	res := &FlowStateFailoverResult{
+		DeliveredOK:          rig.ok,
+		DeliveredFallback:    rig.fallback,
+		DeliveredUnprocessed: rig.unprocessed,
 	}
 
 	// The audit: bijection invariants, then shadow-model equivalence.
@@ -578,13 +439,13 @@ func RunFlowStateFailover(cfg FlowStateFailoverConfig) (*FlowStateFailoverResult
 		}
 	}
 
-	health, err := rt.AccHealth(acc)
+	health, err := rig.rt.AccHealth(rig.acc)
 	if err != nil {
 		return nil, err
 	}
 	res.Quarantines = health.Quarantines
 	res.Reloads = health.Reloads
-	if res.Stats, err = rt.Stats(0); err != nil {
+	if res.Stats, err = rig.rt.Stats(0); err != nil {
 		return nil, err
 	}
 	res.Leaked = tb.pool.InUse()

@@ -13,6 +13,7 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
+	"github.com/opencloudnext/dhl-go/internal/netdev"
 	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/perf"
 )
@@ -93,7 +94,9 @@ type Latency struct {
 	MaxUs  float64
 }
 
-// testbed carries the common simulated components of one run.
+// testbed carries the common simulated components of one run. Every
+// experiment builds from it: newRuntime for the DHL runtime, core for
+// each poll loop, and the port stages in stages.go for the I/O cores.
 type testbed struct {
 	sim  *eventsim.Sim
 	pool *mbuf.Pool
@@ -121,36 +124,72 @@ func (tb *testbed) core() *eventsim.Core {
 	return c
 }
 
-// newRuntime stands up a DHL runtime with one FPGA (VC709-class), its DMA
-// engine and the stock accelerator module database.
-func (tb *testbed) newRuntime(dmaCfg pcie.Config, coreCfg core.Config) (*core.Runtime, *fpga.Device, *pcie.Engine, error) {
-	// A fault plan on the runtime config is shared with the DMA engine and
-	// the FPGA device, so one seed drives every injection layer. A
-	// telemetry registry propagates the same way: arming the runtime arms
-	// the DMA service-time and Dispatcher histograms too.
-	if dmaCfg.Faults == nil {
-		dmaCfg.Faults = coreCfg.Faults
+// newRuntime stands up a DHL runtime over boards VC709-class FPGAs on
+// node 0, each with its DMA engine, installs the stock accelerator module
+// database and attaches the runtime's TX/RX transfer cores (the next two
+// testbed cores). A fault plan on coreCfg arms the runtime and board 0
+// only — its DMA engine and device — so one seed drives every injection
+// layer and a kill target stays deterministic even when a replica
+// spreads dispatches over the fleet. A telemetry registry arms every
+// board's DMA service-time and Dispatcher histograms too.
+func (tb *testbed) newRuntime(boards int, dmaCfg pcie.Config, coreCfg core.Config) (*core.Runtime, []*fpga.Device, error) {
+	devs := make([]*fpga.Device, boards)
+	dmaCfg.Telemetry = coreCfg.Telemetry
+	for i := range devs {
+		faults := coreCfg.Faults
+		if i > 0 {
+			faults = nil
+		}
+		dev, err := fpga.NewDevice(tb.sim, fpga.Config{ID: i, Node: 0, Faults: faults, Telemetry: coreCfg.Telemetry})
+		if err != nil {
+			return nil, nil, err
+		}
+		devs[i] = dev
+		dmaCfg.Faults = faults
+		coreCfg.FPGAs = append(coreCfg.FPGAs, core.FPGAAttachment{Device: dev, DMA: pcie.NewEngine(tb.sim, dmaCfg)})
 	}
-	if dmaCfg.Telemetry == nil {
-		dmaCfg.Telemetry = coreCfg.Telemetry
-	}
-	dev, err := fpga.NewDevice(tb.sim, fpga.Config{ID: 0, Node: 0, Faults: coreCfg.Faults, Telemetry: coreCfg.Telemetry})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	dma := pcie.NewEngine(tb.sim, dmaCfg)
 	coreCfg.Sim = tb.sim
-	coreCfg.FPGAs = []core.FPGAAttachment{{Device: dev, DMA: dma}}
 	rt, err := core.NewRuntime(coreCfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	for _, spec := range hwfunc.Specs() {
 		if err := rt.RegisterModule(spec); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
-	return rt, dev, dma, nil
+	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
+		return nil, nil, err
+	}
+	return rt, devs, nil
+}
+
+// ports stands up the testbed's RX port 0, with rxQueues RSS queues, and
+// its TX port 1, both at rateBps.
+func (tb *testbed) ports(rateBps float64, rxQueues int) (rx, tx *netdev.Port, err error) {
+	if rx, err = netdev.NewPort(tb.sim, netdev.PortConfig{ID: 0, RateBps: rateBps, RxQueues: rxQueues}); err != nil {
+		return nil, nil, err
+	}
+	tx, err = netdev.NewPort(tb.sim, netdev.PortConfig{ID: 1, RateBps: rateBps})
+	return rx, tx, err
+}
+
+// runWindow runs warmup then a measured window of virtual time and reads
+// port's TX throughput and latency over it; InputBps counts the offered
+// frameSize frames.
+func (tb *testbed) runWindow(port *netdev.Port, warmup, window eventsim.Time, frameSize int) (Throughput, Latency) {
+	measStart := tb.sim.Now() + warmup
+	measEnd := measStart + window
+	port.SetMeasureWindow(measStart, measEnd)
+	tb.sim.Run(measEnd)
+	good, wire, pkts, lat := port.Measured(measEnd)
+	inputBps := float64(pkts) * float64(frameSize) * 8 / window.Seconds()
+	return Throughput{GoodBps: good, WireBps: wire, InputBps: inputBps, Pkts: pkts}, Latency{
+		MeanUs: lat.Mean() / 1e6,
+		P50Us:  lat.Percentile(50) / 1e6,
+		P99Us:  lat.Percentile(99) / 1e6,
+		MaxUs:  lat.Max() / 1e6,
+	}
 }
 
 // settle runs the simulation forward (e.g. across partial reconfiguration)

@@ -7,7 +7,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/eventsim"
 	"github.com/opencloudnext/dhl-go/internal/mbuf"
 	"github.com/opencloudnext/dhl-go/internal/netdev"
-	"github.com/opencloudnext/dhl-go/internal/nf"
 	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/perf"
 )
@@ -54,41 +53,22 @@ func RunMultiNF(cfg MultiNFConfig) (MultiNFResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rt, _, _, err := tb.newRuntime(pcie.Config{}, core.Config{})
+	rt, _, err := tb.newRuntime(1, pcie.Config{}, core.Config{})
 	if err != nil {
-		return res, err
-	}
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
 		return res, err
 	}
 
 	// Two NF instances.
 	var apps [2]dhlNF
-	sadb := nf.NewSADB()
-	if err := sadb.AddDefaultSA(); err != nil {
+	if apps[0], err = buildDHLApp(rt, IPsecGateway, "ipsec-1"); err != nil {
 		return res, err
 	}
-	gw1, err := nf.NewIPsecGatewayDHL(rt, sadb, "ipsec-1", 0)
-	if err != nil {
-		return res, err
-	}
-	apps[0] = ipsecDHLAdapter{gw1}
+	second, name := NIDS, "nids-1"
 	if cfg.SharedAccelerator {
-		gw2, gerr := nf.NewIPsecGatewayDHL(rt, sadb, "ipsec-2", 0)
-		if gerr != nil {
-			return res, gerr
-		}
-		apps[1] = ipsecDHLAdapter{gw2}
-	} else {
-		rules, rerr := nf.NewRuleSet(nf.DefaultSnortRules())
-		if rerr != nil {
-			return res, rerr
-		}
-		ids, ierr := nf.NewNIDSDHL(rt, rules, "nids-1", 0)
-		if ierr != nil {
-			return res, ierr
-		}
-		apps[1] = nidsDHLAdapter{ids}
+		second, name = IPsecGateway, "ipsec-2"
+	}
+	if apps[1], err = buildDHLApp(rt, second, name); err != nil {
+		return res, err
 	}
 	tb.settle(80 * eventsim.Millisecond) // both PR loads complete
 
@@ -102,7 +82,7 @@ func RunMultiNF(cfg MultiNFConfig) (MultiNFResult, error) {
 		gen *netdev.Generator
 	}
 	var rigs [4]portRig
-	var payload netdev.PayloadFn
+	var dropped uint64 // the NFs' own drops; Figure 7 reports throughput only
 	for p := 0; p < 4; p++ {
 		nfIdx := p / 2
 		rxPort, perr := netdev.NewPort(tb.sim, netdev.PortConfig{ID: p, RateBps: perf.NIC10GBps, RxQueues: 1})
@@ -113,7 +93,7 @@ func RunMultiNF(cfg MultiNFConfig) (MultiNFResult, error) {
 		if perr != nil {
 			return res, perr
 		}
-		pl := payload
+		var pl netdev.PayloadFn
 		if !cfg.SharedAccelerator && nfIdx == 1 {
 			pl = nidsPayload(1.0 / 256)
 		}
@@ -125,7 +105,7 @@ func RunMultiNF(cfg MultiNFConfig) (MultiNFResult, error) {
 			return res, gerr
 		}
 		rigs[p] = portRig{rx: rxPort, tx: txPort, gen: gen}
-		wireMultiNFPortCore(tb, rt, apps[nfIdx], rxPort, txPort)
+		tb.dhlPortCore(rt, apps[nfIdx], rxPort, txPort, &dropped)
 	}
 
 	start := tb.sim.Now()
@@ -155,59 +135,25 @@ func RunMultiNF(cfg MultiNFConfig) (MultiNFResult, error) {
 	return res, nil
 }
 
-// wireMultiNFPortCore builds the per-port I/O core of the multi-NF test.
-func wireMultiNFPortCore(tb *testbed, rt *core.Runtime, app dhlNF, rxPort, txPort *netdev.Port) {
-	ioCore := tb.core()
+// dhlPortCore starts the per-port I/O core of the multi-NF test: one
+// poll runs both halves of the NF's I/O, RX -> shallow processing -> IBQ
+// and OBQ -> post processing -> TX.
+func (tb *testbed) dhlPortCore(rt *core.Runtime, app dhlNF, rxPort, txPort *netdev.Port, dropped *uint64) {
 	rxBuf := make([]*mbuf.Mbuf, 32)
 	obqBuf := make([]*mbuf.Mbuf, 32)
-	eventsim.NewPollLoop(tb.sim, ioCore, perf.PollIdleCycles, func() (float64, func()) {
-		cycles := 0.0
-		// Ingress half: RX -> shallow processing -> IBQ.
-		n := rxPort.RxBurst(0, rxBuf)
-		var send []*mbuf.Mbuf
-		if n > 0 {
-			now := int64(tb.sim.Now())
-			send = make([]*mbuf.Mbuf, 0, n)
-			for _, m := range rxBuf[:n] {
-				m.RxTimestamp = now
-				verdict, c := app.PreProcess(m)
-				cycles += perf.IORxCycles + c
-				if verdict != nf.VerdictForward {
-					_ = tb.pool.Free(m)
-					continue
-				}
-				send = append(send, m)
-			}
-		}
-		// Egress half: OBQ -> post processing -> TX.
-		var txBatch []*mbuf.Mbuf
-		if o, rerr := rt.ReceivePackets(app.ID(), obqBuf); rerr == nil && o > 0 {
-			txBatch = make([]*mbuf.Mbuf, 0, o)
-			for _, m := range obqBuf[:o] {
-				verdict, c := app.PostProcess(m)
-				cycles += perf.OBQPollCycles + c + perf.IOTxCycles
-				if verdict != nf.VerdictForward {
-					_ = tb.pool.Free(m)
-					continue
-				}
-				txBatch = append(txBatch, m)
-			}
-		}
+	eventsim.NewPollLoop(tb.sim, tb.core(), perf.PollIdleCycles, func() (float64, func()) {
+		rx := tb.rxBurst(rxPort, rxBuf)
+		cycles, send := tb.preProcess(app, rx, 0, make([]*mbuf.Mbuf, 0, len(rx)), dropped)
+		cycles, tx := tb.postProcess(rt, app, obqBuf, cycles, dropped)
 		if cycles == 0 {
 			return 0, nil
 		}
 		return cycles, func() {
 			if len(send) > 0 {
-				acc, serr := rt.SendPackets(app.ID(), send)
-				if serr != nil {
-					acc = 0
-				}
-				for _, m := range send[acc:] {
-					_ = tb.pool.Free(m)
-				}
+				tb.sendIBQ(rt, app, send, dropped)
 			}
-			if len(txBatch) > 0 {
-				txPort.TxBurst(txBatch, tb.pool)
+			if len(tx) > 0 {
+				txPort.TxBurst(tx, tb.pool)
 			}
 		}
 	}).Start()

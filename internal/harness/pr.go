@@ -8,7 +8,6 @@ import (
 	"github.com/opencloudnext/dhl-go/internal/fpga"
 	"github.com/opencloudnext/dhl-go/internal/hwfunc"
 	"github.com/opencloudnext/dhl-go/internal/netdev"
-	"github.com/opencloudnext/dhl-go/internal/nf"
 	"github.com/opencloudnext/dhl-go/internal/pcie"
 	"github.com/opencloudnext/dhl-go/internal/perf"
 )
@@ -53,45 +52,25 @@ func runPRCase(runningModule, newModule string) (PRResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rt, dev, _, err := tb.newRuntime(pcie.Config{}, core.Config{})
+	rt, devs, err := tb.newRuntime(1, pcie.Config{}, core.Config{})
 	if err != nil {
 		return res, err
 	}
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
-		return res, err
-	}
-	rxPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 0, RateBps: perf.NIC40GBps, RxQueues: 2})
+	rxPort, txPort, err := tb.ports(perf.NIC40GBps, 2)
 	if err != nil {
 		return res, err
 	}
-	txPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 1, RateBps: perf.NIC40GBps})
-	if err != nil {
-		return res, err
-	}
-
-	var app dhlNF
+	kind := NIDS
 	if runningModule == hwfunc.IPsecCryptoName {
-		sadb := nf.NewSADB()
-		if serr := sadb.AddDefaultSA(); serr != nil {
-			return res, serr
-		}
-		gw, gerr := nf.NewIPsecGatewayDHL(rt, sadb, "running-nf", 0)
-		if gerr != nil {
-			return res, gerr
-		}
-		app = ipsecDHLAdapter{gw}
-	} else {
-		rules, rerr := nf.NewRuleSet(nf.DefaultSnortRules())
-		if rerr != nil {
-			return res, rerr
-		}
-		ids, ierr := nf.NewNIDSDHL(rt, rules, "running-nf", 0)
-		if ierr != nil {
-			return res, ierr
-		}
-		app = nidsDHLAdapter{ids}
+		kind = IPsecGateway
 	}
-	wireDHLSimple(tb, rt, app, rxPort, txPort)
+	app, err := buildDHLApp(rt, kind, "running-nf")
+	if err != nil {
+		return res, err
+	}
+	var dropped uint64 // the running NF's own drops; Table V reports throughput only
+	tb.dhlIngress(rt, app, rxPort, &dropped)
+	tb.dhlEgress(rt, app, txPort, &dropped)
 	tb.settle(60 * eventsim.Millisecond)
 
 	gen, err := netdev.NewGenerator(tb.sim, netdev.GeneratorConfig{
@@ -103,12 +82,7 @@ func runPRCase(runningModule, newModule string) (PRResult, error) {
 	gen.Start()
 
 	// Window 1: running NF alone.
-	warm := 4 * eventsim.Millisecond
-	win := 15 * eventsim.Millisecond
-	start := tb.sim.Now()
-	txPort.SetMeasureWindow(start+warm, start+warm+win)
-	tb.sim.Run(start + warm + win)
-	before, _, _, _ := txPort.Measured(start + warm + win)
+	before, _ := tb.runWindow(txPort, 4*eventsim.Millisecond, 15*eventsim.Millisecond, 512)
 
 	// Window 2: load the new module mid-traffic and measure concurrently.
 	spec, ok := hwfunc.Specs()[newModule]
@@ -118,30 +92,18 @@ func runPRCase(runningModule, newModule string) (PRResult, error) {
 	res.BitstreamBytes = spec.BitstreamBytes
 	prStart := tb.sim.Now()
 	var prDone eventsim.Time
-	if _, err := dev.LoadPR(spec, func(int) { prDone = tb.sim.Now() }); err != nil {
+	if _, err := devs[0].LoadPR(spec, func(int) { prDone = tb.sim.Now() }); err != nil {
 		return res, err
 	}
 	// Window 2 must cover the full reconfiguration (tens of ms).
-	win2 := 40 * eventsim.Millisecond
-	w2start := tb.sim.Now()
-	txPort.SetMeasureWindow(w2start, w2start+win2)
-	tb.sim.Run(w2start + win2)
+	during, _ := tb.runWindow(txPort, 0, 40*eventsim.Millisecond, 512)
 	if prDone == 0 {
 		return res, fmt.Errorf("harness: PR of %q did not complete within the window", newModule)
 	}
 	res.PRTimeMs = float64(prDone-prStart) / float64(eventsim.Millisecond)
-
-	during, _, _, _ := txPort.Measured(w2start + win2)
-	res.RunningNFBeforeBps = before
-	res.RunningNFDuringBps = during
+	res.RunningNFBeforeBps = before.GoodBps
+	res.RunningNFDuringBps = during.GoodBps
 	return res, nil
-}
-
-// wireDHLSimple wires a single-NF DHL pipeline with one ingress and one
-// egress core (shared helper for PR and ablation runs).
-func wireDHLSimple(tb *testbed, rt *core.Runtime, app dhlNF, rxPort, txPort *netdev.Port) {
-	wireDHLIngress(tb, rt, app, rxPort)
-	wireDHLEgress(tb, rt, app, txPort)
 }
 
 // Table6Row is one Table VI row.

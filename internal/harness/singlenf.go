@@ -21,9 +21,7 @@ type SingleNFConfig struct {
 	Mode Mode
 	// FrameSize in bytes (64..1500).
 	FrameSize int
-	// NICRateBps defaults to 40G (Intel XL710-QDA2).
-	NICRateBps float64
-	// OfferedWireBps defaults to line rate.
+	// OfferedWireBps defaults to the 40G line rate (Intel XL710-QDA2).
 	OfferedWireBps float64
 	// Warmup and Window bound the measurement (defaults 4 ms and 20 ms of
 	// virtual time).
@@ -52,11 +50,8 @@ type SingleNFConfig struct {
 }
 
 func (c SingleNFConfig) withDefaults() SingleNFConfig {
-	if c.NICRateBps == 0 {
-		c.NICRateBps = perf.NIC40GBps
-	}
 	if c.OfferedWireBps == 0 {
-		c.OfferedWireBps = c.NICRateBps
+		c.OfferedWireBps = perf.NIC40GBps
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 4 * eventsim.Millisecond
@@ -133,11 +128,7 @@ func RunSingleNF(cfg SingleNFConfig) (SingleNFResult, error) {
 	if err != nil {
 		return SingleNFResult{}, err
 	}
-	rxPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 0, RateBps: cfg.NICRateBps, RxQueues: 2, RxQueueDepth: 512})
-	if err != nil {
-		return SingleNFResult{}, err
-	}
-	txPort, err := netdev.NewPort(tb.sim, netdev.PortConfig{ID: 1, RateBps: cfg.NICRateBps})
+	rxPort, txPort, err := tb.ports(perf.NIC40GBps, 2)
 	if err != nil {
 		return SingleNFResult{}, err
 	}
@@ -148,25 +139,39 @@ func RunSingleNF(cfg SingleNFConfig) (SingleNFResult, error) {
 		payload = nidsPayload(cfg.MatchFraction)
 	}
 
-	var nfDropped *uint64 = &res.NFDropped
 	var rt *core.Runtime
 	switch cfg.Mode {
 	case IOOnly:
-		wireIOOnly(tb, rxPort, txPort, nfDropped)
+		// The Figure 6 "I/O" baseline: RX core -> ring -> TX core, no
+		// computation.
+		hand := ring.MustNew[*mbuf.Mbuf]("io-hand", 512, ring.SingleProducerConsumer)
+		rxCore, txCore := tb.core(), tb.core()
+		tb.rxToRing(rxCore, rxPort, hand, &res.NFDropped)
+		tb.ringToTx(txCore, hand, txPort)
 	case CPUOnly:
 		proc, perr := buildSWNF(cfg.Kind)
 		if perr != nil {
 			return res, perr
 		}
-		if err := wireCPUOnly(tb, rxPort, txPort, proc, nfDropped); err != nil {
+		if err := wireCPUOnly(tb, rxPort, txPort, proc, &res.NFDropped); err != nil {
 			return res, err
 		}
 	case DHL:
-		var derr error
-		rt, derr = wireDHL(tb, rxPort, txPort, cfg, nfDropped)
-		if derr != nil {
-			return res, derr
+		// Table IV single-NF row: one I/O core on the RX+shallow path, one
+		// on the OBQ+TX path, plus the runtime's TX/RX transfer cores.
+		rt, _, err = tb.newRuntime(1,
+			pcie.Config{Mode: cfg.Driver, RemoteNUMA: cfg.RemoteNUMA},
+			core.Config{Batching: cfg.Batching, BatchBytes: cfg.BatchBytes, FlushTimeout: cfg.FlushTimeout, Telemetry: cfg.Telemetry},
+		)
+		if err != nil {
+			return res, err
 		}
+		app, aerr := buildDHLApp(rt, cfg.Kind, dhlAppName[cfg.Kind])
+		if aerr != nil {
+			return res, aerr
+		}
+		tb.dhlIngress(rt, app, rxPort, &res.NFDropped)
+		tb.dhlEgress(rt, app, txPort, &res.NFDropped)
 		// Let partial reconfiguration finish before traffic starts.
 		tb.settle(60 * eventsim.Millisecond)
 	default:
@@ -184,23 +189,9 @@ func RunSingleNF(cfg SingleNFConfig) (SingleNFResult, error) {
 	if err != nil {
 		return res, err
 	}
-	start := tb.sim.Now()
-	measStart := start + cfg.Warmup
-	measEnd := measStart + cfg.Window
-	txPort.SetMeasureWindow(measStart, measEnd)
 	gen.Start()
-	tb.sim.Run(measEnd)
+	res.Throughput, res.Latency = tb.runWindow(txPort, cfg.Warmup, cfg.Window, cfg.FrameSize)
 	gen.Stop()
-
-	good, wire, pkts, lat := txPort.Measured(measEnd)
-	inputBps := float64(pkts) * float64(cfg.FrameSize) * 8 / cfg.Window.Seconds()
-	res.Throughput = Throughput{GoodBps: good, WireBps: wire, InputBps: inputBps, Pkts: pkts}
-	res.Latency = Latency{
-		MeanUs: lat.Mean() / 1e6,
-		P50Us:  lat.Percentile(50) / 1e6,
-		P99Us:  lat.Percentile(99) / 1e6,
-		MaxUs:  lat.Max() / 1e6,
-	}
 	res.RxDropped = rxPort.Stats().RxDropped
 	res.TxDropped = txPort.Stats().TxDropped
 	if rt != nil {
@@ -248,54 +239,6 @@ func buildSWNF(kind NFKind) (swProcessor, error) {
 	}
 }
 
-// wireIOOnly builds the Figure 6 "I/O" baseline: rx core -> ring -> tx
-// core, no computation.
-func wireIOOnly(tb *testbed, rxPort, txPort *netdev.Port, dropped *uint64) {
-	hand := ring.MustNew[*mbuf.Mbuf]("io-hand", 512, ring.SingleProducerConsumer)
-	rxCore := tb.core()
-	txCore := tb.core()
-
-	rxBuf := make([]*mbuf.Mbuf, 64)
-	eventsim.NewPollLoop(tb.sim, rxCore, perf.PollIdleCycles, func() (float64, func()) {
-		cycles := 0.0
-		got := 0
-		for q := 0; q < rxPort.Queues() && got+32 <= len(rxBuf); q++ {
-			n := rxPort.RxBurst(q, rxBuf[got:got+32])
-			got += n
-		}
-		if got == 0 {
-			return 0, nil
-		}
-		now := int64(tb.sim.Now())
-		for _, m := range rxBuf[:got] {
-			m.RxTimestamp = now
-		}
-		cycles = float64(got) * (perf.IORxCycles + perf.RingOpCycles)
-		batch := make([]*mbuf.Mbuf, got)
-		copy(batch, rxBuf[:got])
-		return cycles, func() {
-			acc := hand.EnqueueBurst(batch)
-			for _, m := range batch[acc:] {
-				*dropped++
-				_ = tb.pool.Free(m)
-			}
-		}
-	}).Start()
-
-	txBuf := make([]*mbuf.Mbuf, 32)
-	eventsim.NewPollLoop(tb.sim, txCore, perf.PollIdleCycles, func() (float64, func()) {
-		n := hand.DequeueBurst(txBuf)
-		if n == 0 {
-			return 0, nil
-		}
-		batch := make([]*mbuf.Mbuf, n)
-		copy(batch, txBuf[:n])
-		return float64(n) * (perf.RingOpCycles + perf.IOTxCycles), func() {
-			txPort.TxBurst(batch, tb.pool)
-		}
-	}).Start()
-}
-
 // wireCPUOnly builds the DPDK pipeline-mode CPU-only variant (§V-B):
 // 2 I/O cores (one RX, one TX) and 2 worker cores around rte_rings.
 func wireCPUOnly(tb *testbed, rxPort, txPort *netdev.Port, proc swProcessor, dropped *uint64) error {
@@ -307,38 +250,11 @@ func wireCPUOnly(tb *testbed, rxPort, txPort *netdev.Port, proc swProcessor, dro
 	if err != nil {
 		return err
 	}
-
-	rxCore := tb.core()
-	txCore := tb.core()
-
-	rxBuf := make([]*mbuf.Mbuf, 64)
-	eventsim.NewPollLoop(tb.sim, rxCore, perf.PollIdleCycles, func() (float64, func()) {
-		got := 0
-		for q := 0; q < rxPort.Queues() && got+32 <= len(rxBuf); q++ {
-			got += rxPort.RxBurst(q, rxBuf[got:got+32])
-		}
-		if got == 0 {
-			return 0, nil
-		}
-		now := int64(tb.sim.Now())
-		for _, m := range rxBuf[:got] {
-			m.RxTimestamp = now
-		}
-		batch := make([]*mbuf.Mbuf, got)
-		copy(batch, rxBuf[:got])
-		return float64(got) * (perf.IORxCycles + perf.RingOpCycles), func() {
-			acc := workerIn.EnqueueBurst(batch)
-			for _, m := range batch[acc:] {
-				*dropped++
-				_ = tb.pool.Free(m)
-			}
-		}
-	}).Start()
-
+	rxCore, txCore := tb.core(), tb.core()
+	tb.rxToRing(rxCore, rxPort, workerIn, dropped)
 	for w := 0; w < 2; w++ {
-		workerCore := tb.core()
 		buf := make([]*mbuf.Mbuf, 32)
-		eventsim.NewPollLoop(tb.sim, workerCore, perf.PollIdleCycles, func() (float64, func()) {
+		eventsim.NewPollLoop(tb.sim, tb.core(), perf.PollIdleCycles, func() (float64, func()) {
 			n := workerIn.DequeueBurst(buf)
 			if n == 0 {
 				return 0, nil
@@ -349,72 +265,31 @@ func wireCPUOnly(tb *testbed, rxPort, txPort *netdev.Port, proc swProcessor, dro
 				verdict, c := proc.Process(m)
 				cycles += c
 				if verdict != nf.VerdictForward {
-					*dropped++
-					_ = tb.pool.Free(m)
+					tb.drop(m, dropped)
 					continue
 				}
 				fwd = append(fwd, m)
 			}
-			return cycles, func() {
-				acc := txRing.EnqueueBurst(fwd)
-				for _, m := range fwd[acc:] {
-					*dropped++
-					_ = tb.pool.Free(m)
-				}
-			}
+			return cycles, func() { tb.enqueue(txRing, fwd, dropped) }
 		}).Start()
 	}
-
-	txBuf := make([]*mbuf.Mbuf, 32)
-	eventsim.NewPollLoop(tb.sim, txCore, perf.PollIdleCycles, func() (float64, func()) {
-		n := txRing.DequeueBurst(txBuf)
-		if n == 0 {
-			return 0, nil
-		}
-		batch := make([]*mbuf.Mbuf, n)
-		copy(batch, txBuf[:n])
-		return float64(n) * (perf.RingOpCycles + perf.IOTxCycles), func() {
-			txPort.TxBurst(batch, tb.pool)
-		}
-	}).Start()
+	tb.ringToTx(txCore, txRing, txPort)
 	return nil
 }
 
-// wireDHL builds the DHL variant (Table IV single-NF row): one I/O core on
-// the RX+shallow path, one on the OBQ+TX path, and the runtime's own
-// TX/RX transfer cores.
-func wireDHL(tb *testbed, rxPort, txPort *netdev.Port, cfg SingleNFConfig, dropped *uint64) (*core.Runtime, error) {
-	rt, _, _, err := tb.newRuntime(
-		pcie.Config{Mode: cfg.Driver, RemoteNUMA: cfg.RemoteNUMA},
-		core.Config{Batching: cfg.Batching, BatchBytes: cfg.BatchBytes, FlushTimeout: cfg.FlushTimeout, Telemetry: cfg.Telemetry},
-	)
-	if err != nil {
-		return nil, err
-	}
-	if err := rt.AttachCores(0, tb.core(), tb.core(), tb.pool); err != nil {
-		return nil, err
-	}
-
-	app, aerr := buildDHLApp(rt, cfg.Kind)
-	if aerr != nil {
-		return nil, aerr
-	}
-
-	wireDHLIngressCounted(tb, rt, app, rxPort, dropped)
-	wireDHLEgressCounted(tb, rt, app, txPort, dropped)
-	return rt, nil
-}
+// dhlAppName is the NF name the single-instance experiments register.
+var dhlAppName = map[NFKind]string{IPsecGateway: "ipsec-gw", NIDS: "nids"}
 
 // buildDHLApp constructs the DHL-version NF of the given kind against a
-// runtime, registering it on node 0.
-func buildDHLApp(rt *core.Runtime, kind NFKind) (dhlNF, error) {
+// runtime, registering it on node 0 as name.
+func buildDHLApp(rt *core.Runtime, kind NFKind, name string) (dhlNF, error) {
 	switch kind {
 	case IPsecGateway:
 		sadb := nf.NewSADB()
 		if err := sadb.AddDefaultSA(); err != nil {
 			return nil, err
 		}
-		gw, err := nf.NewIPsecGatewayDHL(rt, sadb, "ipsec-gw", 0)
+		gw, err := nf.NewIPsecGatewayDHL(rt, sadb, name, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -424,7 +299,7 @@ func buildDHLApp(rt *core.Runtime, kind NFKind) (dhlNF, error) {
 		if err != nil {
 			return nil, err
 		}
-		ids, err := nf.NewNIDSDHL(rt, rules, "nids", 0)
+		ids, err := nf.NewNIDSDHL(rt, rules, name, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -432,81 +307,4 @@ func buildDHLApp(rt *core.Runtime, kind NFKind) (dhlNF, error) {
 	default:
 		return nil, fmt.Errorf("harness: unknown NF kind %v", kind)
 	}
-}
-
-var discardCounter uint64
-
-// wireDHLIngress starts an I/O core on the RX + shallow-processing + IBQ
-// path of a DHL NF.
-func wireDHLIngress(tb *testbed, rt *core.Runtime, app dhlNF, rxPort *netdev.Port) {
-	wireDHLIngressCounted(tb, rt, app, rxPort, &discardCounter)
-}
-
-// wireDHLEgress starts an I/O core on the OBQ + post-processing + TX path.
-func wireDHLEgress(tb *testbed, rt *core.Runtime, app dhlNF, txPort *netdev.Port) {
-	wireDHLEgressCounted(tb, rt, app, txPort, &discardCounter)
-}
-
-func wireDHLIngressCounted(tb *testbed, rt *core.Runtime, app dhlNF, rxPort *netdev.Port, dropped *uint64) {
-	ingressCore := tb.core()
-	rxBuf := make([]*mbuf.Mbuf, 64)
-	eventsim.NewPollLoop(tb.sim, ingressCore, perf.PollIdleCycles, func() (float64, func()) {
-		got := 0
-		for q := 0; q < rxPort.Queues() && got+32 <= len(rxBuf); q++ {
-			got += rxPort.RxBurst(q, rxBuf[got:got+32])
-		}
-		if got == 0 {
-			return 0, nil
-		}
-		cycles := 0.0
-		now := int64(tb.sim.Now())
-		send := make([]*mbuf.Mbuf, 0, got)
-		for _, m := range rxBuf[:got] {
-			m.RxTimestamp = now
-			verdict, c := app.PreProcess(m)
-			cycles += perf.IORxCycles + c
-			if verdict != nf.VerdictForward {
-				*dropped++
-				_ = tb.pool.Free(m)
-				continue
-			}
-			send = append(send, m)
-		}
-		return cycles, func() {
-			acc, serr := rt.SendPackets(app.ID(), send)
-			if serr != nil {
-				acc = 0
-			}
-			for _, m := range send[acc:] {
-				*dropped++
-				_ = tb.pool.Free(m)
-			}
-		}
-	}).Start()
-}
-
-func wireDHLEgressCounted(tb *testbed, rt *core.Runtime, app dhlNF, txPort *netdev.Port, dropped *uint64) {
-	egressCore := tb.core()
-	obqBuf := make([]*mbuf.Mbuf, 32)
-	eventsim.NewPollLoop(tb.sim, egressCore, perf.PollIdleCycles, func() (float64, func()) {
-		n, rerr := rt.ReceivePackets(app.ID(), obqBuf)
-		if rerr != nil || n == 0 {
-			return 0, nil
-		}
-		cycles := 0.0
-		txBatch := make([]*mbuf.Mbuf, 0, n)
-		for _, m := range obqBuf[:n] {
-			verdict, c := app.PostProcess(m)
-			cycles += perf.OBQPollCycles + c + perf.IOTxCycles
-			if verdict != nf.VerdictForward {
-				*dropped++
-				_ = tb.pool.Free(m)
-				continue
-			}
-			txBatch = append(txBatch, m)
-		}
-		return cycles, func() {
-			txPort.TxBurst(txBatch, tb.pool)
-		}
-	}).Start()
 }

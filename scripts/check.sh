@@ -6,8 +6,9 @@
 # the build, then the race-clean short test suite, then a full (un-short)
 # race pass over the two lock-free packages whose bugs only show up under
 # the race detector. The dhl-bench golden step diffs every simulated
-# output against testdata/dhl-bench-quick-all.golden and BENCH_pr8.json:
-# a change that is meant to be host-only must leave them byte-identical.
+# output against testdata/dhl-bench-quick-all.golden, BENCH_pr8.json and
+# testdata/harness-fault-runs.golden: a change that is meant to be
+# host-only must leave them byte-identical.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,6 +61,11 @@ diff -u testdata/dhl-bench-quick-all.golden "$bench_dir/all.txt"
 "$bench_dir/dhl-bench" -quick -json flowscale > "$bench_dir/flowscale.json"
 diff -u BENCH_pr8.json "$bench_dir/flowscale.json"
 rm -rf "$bench_dir"
+# The two fault experiments dhl-bench does not print (SEU failover, NAT
+# flow-state audit) are pinned by a root golden test.
+go test -count=1 -run 'TestHarnessFaultRunsGolden' .
+# perfbench's own testbed must agree with harness.RunSingleNF (2%).
+(cd perfbench && go test -count=1 -run TestFidelityIPsecLineRate ./...)
 
 echo "==> chaos smoke (seeded fault-injection soak, -short)"
 go test -run Chaos -short -count=1 ./internal/core ./internal/harness
