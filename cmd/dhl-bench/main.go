@@ -9,8 +9,10 @@
 // With no argument it runs everything. Full-fidelity windows take a few
 // minutes of wall time; pass -quick for shorter measurement windows.
 // The flowscale and diurnal targets additionally accept -json to emit
-// the sweep as a machine-readable document (scripts/bench.sh captures
-// them as BENCH_pr8.json and BENCH_pr10.json).
+// the sweep as a machine-readable document: scripts/bench.sh regenerates
+// BENCH_pr8.json from `-quick -json flowscale` and BENCH_pr10.json from
+// `-json diurnal`, and scripts/check.sh diffs both against the committed
+// files.
 package main
 
 import (

@@ -434,7 +434,7 @@ func runSpawned(modules string, boards int, fill bool, chaosSeed uint64, watch i
 	if jsonOut {
 		return fmt.Errorf("-json applies to connect mode (-addr) output")
 	}
-	var opts []dhl.Option
+	cfg := dhl.SystemConfig{Telemetry: watch > 0, FPGAsPerNode: boards}
 	if chaosSeed != 0 {
 		plan, err := dhl.NewFaultPlan(chaosSeed,
 			dhl.FaultSpec{Kind: dhl.FaultModuleError, EveryN: 1, Count: 8},
@@ -443,12 +443,13 @@ func runSpawned(modules string, boards int, fill bool, chaosSeed uint64, watch i
 		if err != nil {
 			return err
 		}
-		opts = append(opts, dhl.WithFaultPlan(plan))
+		cfg.Faults = plan
 	}
+	var opts []dhl.Option
 	if serve != "" {
 		opts = append(opts, dhl.WithControlPlane())
 	}
-	sys, err := dhl.Open(dhl.SystemConfig{Telemetry: watch > 0, FPGAsPerNode: boards}, opts...)
+	sys, err := dhl.Open(cfg, opts...)
 	if err != nil {
 		return err
 	}

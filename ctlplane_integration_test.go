@@ -326,7 +326,7 @@ func TestControlPlaneConcurrentChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := dhl.Open(dhl.SystemConfig{WatchdogTimeoutUs: 250}, dhl.WithControlPlane(), dhl.WithFaultPlan(plan))
+	sys, err := dhl.Open(dhl.SystemConfig{Faults: plan}, dhl.WithControlPlane())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,15 +42,6 @@ type Module = fpga.Module
 // ModuleSpec describes an accelerator module for the database.
 type ModuleSpec = fpga.ModuleSpec
 
-// BatchingMode selects fixed or adaptive transfer batching.
-type BatchingMode = core.BatchingMode
-
-// Batching policies.
-const (
-	FixedBatching    = core.FixedBatching
-	AdaptiveBatching = core.AdaptiveBatching
-)
-
 // Stock hardware function names shipped in the accelerator module
 // database.
 const (
@@ -181,9 +172,8 @@ type (
 // back-pressure surface from internal/core, re-exported for the facade.
 type (
 	// AutoTuneConfig parameterizes the adaptive batching controller
-	// (sampling interval, hysteresis, fill guard bands, and the
-	// batch/flush/burst envelopes). The zero value selects the documented
-	// defaults, bounded by the system's own global configuration.
+	// (its sampling interval). The zero value selects the documented
+	// default; the controller's thresholds and envelopes are fixed.
 	AutoTuneConfig = tuner.Config
 	// TunerStatus is the controller's operator-facing state: windows
 	// closed, decisions applied, and the current per-accelerator and
@@ -222,33 +212,21 @@ const (
 	StatusUnprocessed = mbuf.StatusUnprocessed
 )
 
-// SystemConfig parameterizes Open.
+// SystemConfig parameterizes Open. The testbed itself is fixed: a
+// 16384-mbuf shared pool, fixed 6 KB transfer batching (retune live with
+// SetBatchBytes), the UIO poll-mode driver and 2.1 GHz cores.
 type SystemConfig struct {
 	// Nodes is the NUMA node count. Zero selects 1.
 	Nodes int
 	// FPGAsPerNode is the number of VC709-class boards per node. Zero
 	// selects 1.
 	FPGAsPerNode int
-	// PoolCapacity is the shared mbuf pool size. Zero selects 16384.
-	PoolCapacity int
-	// Batching selects the Packer policy (default FixedBatching at 6 KB).
-	Batching BatchingMode
-	// BatchBytes overrides the 6 KB transfer batching size.
-	BatchBytes int
-	// InKernelDriver swaps the UIO poll-mode driver for the in-kernel
-	// baseline (only useful for comparison runs).
-	InKernelDriver bool
-	// CoreHz is the simulated CPU clock. Zero selects the testbed's
-	// 2.1 GHz.
-	CoreHz float64
 	// Faults arms deterministic fault injection: the plan is shared by
 	// every DMA engine, FPGA device and the transfer cores, so one seed
-	// reproduces a whole chaos run. Also enables the batch watchdog and
-	// the accelerator health FSM.
+	// reproduces a whole chaos run. Also enables the 250 us batch
+	// watchdog (retune live with SetWatchdogTimeout) and the accelerator
+	// health FSM.
 	Faults *FaultPlan
-	// WatchdogTimeoutUs overrides the per-batch watchdog deadline
-	// (microseconds; default 250 when Faults is set).
-	WatchdogTimeoutUs int
 	// Telemetry arms the zero-allocation telemetry subsystem: per-stage
 	// latency histograms, per-core counters, occupancy gauges and the
 	// batch span ring. Off (the default) leaves the hot path exactly as
@@ -269,7 +247,6 @@ type System struct {
 	devices []*fpga.Device
 	engines []*pcie.Engine
 	tel     *telemetry.Registry
-	coreHz  float64
 	coreID  int
 	// flowSrcs are the flow tables registered for observability, in
 	// registration order; FlowTables and stats.get report them.
@@ -284,8 +261,7 @@ type System struct {
 	tunCfg AutoTuneConfig
 }
 
-// Option customizes Open beyond the plain SystemConfig fields. Options
-// apply after cfg, so they win over the corresponding field.
+// Option customizes Open beyond the plain SystemConfig fields.
 type Option func(*openConfig)
 
 type openConfig struct {
@@ -294,18 +270,6 @@ type openConfig struct {
 	ctl      bool
 	autotune bool
 	tunCfg   AutoTuneConfig
-}
-
-// WithFaultPlan arms deterministic fault injection, equivalent to
-// setting SystemConfig.Faults.
-func WithFaultPlan(p *FaultPlan) Option {
-	return func(o *openConfig) { o.cfg.Faults = p }
-}
-
-// WithClock sets the simulated CPU clock in Hz, equivalent to setting
-// SystemConfig.CoreHz.
-func WithClock(hz float64) Option {
-	return func(o *openConfig) { o.cfg.CoreHz = hz }
 }
 
 // WithControlPlane arms the runtime management API: Serve additionally
@@ -355,18 +319,12 @@ func buildSystem(cfg SystemConfig) (*System, error) {
 	if cfg.FPGAsPerNode == 0 {
 		cfg.FPGAsPerNode = 1
 	}
-	if cfg.PoolCapacity == 0 {
-		cfg.PoolCapacity = 16384
-	}
-	if cfg.CoreHz == 0 {
-		cfg.CoreHz = perf.TestbedCoreHz
-	}
 	sim := eventsim.New()
-	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "dhl-system", Capacity: cfg.PoolCapacity})
+	pool, err := mbuf.NewPool(mbuf.PoolConfig{Name: "dhl-system", Capacity: 16384})
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{sim: sim, pool: pool, coreHz: cfg.CoreHz}
+	sys := &System{sim: sim, pool: pool}
 	if cfg.Telemetry {
 		sys.tel = telemetry.New(cfg.TelemetrySpanCap)
 		p := pool
@@ -384,11 +342,7 @@ func buildSystem(cfg SystemConfig) (*System, error) {
 			if derr != nil {
 				return nil, derr
 			}
-			mode := pcie.UIOPoll
-			if cfg.InKernelDriver {
-				mode = pcie.InKernel
-			}
-			dma := pcie.NewEngine(sim, pcie.Config{Mode: mode, Faults: cfg.Faults, Telemetry: sys.tel})
+			dma := pcie.NewEngine(sim, pcie.Config{Faults: cfg.Faults, Telemetry: sys.tel})
 			if sys.tel != nil {
 				fpgaLabel := fmt.Sprintf("fpga=%q", fmt.Sprint(id))
 				d, e := dev, dma
@@ -415,14 +369,11 @@ func buildSystem(cfg SystemConfig) (*System, error) {
 		}
 	}
 	rt, err := core.NewRuntime(core.Config{
-		Sim:             sim,
-		Nodes:           cfg.Nodes,
-		FPGAs:           attachments,
-		Batching:        cfg.Batching,
-		BatchBytes:      cfg.BatchBytes,
-		Faults:          cfg.Faults,
-		WatchdogTimeout: eventsim.Time(cfg.WatchdogTimeoutUs) * eventsim.Microsecond,
-		Telemetry:       sys.tel,
+		Sim:       sim,
+		Nodes:     cfg.Nodes,
+		FPGAs:     attachments,
+		Faults:    cfg.Faults,
+		Telemetry: sys.tel,
 	})
 	if err != nil {
 		return nil, err
@@ -463,9 +414,9 @@ func buildSystem(cfg SystemConfig) (*System, error) {
 // Open builds a System with cfg, applies the options, and (unless
 // WithoutSettle) settles it: virtual time advances far enough that the
 // initial partial reconfigurations are done and the data path is ready
-// for traffic. It is the one entry point — WithFaultPlan and WithClock
-// mirror config fields, WithControlPlane arms the runtime management
-// API, WithoutSettle skips the boot settle.
+// for traffic. It is the one entry point — WithControlPlane arms the
+// runtime management API, WithAutoTune the batching autotuner, and
+// WithoutSettle skips the boot settle.
 func Open(cfg SystemConfig, opts ...Option) (*System, error) {
 	oc := openConfig{cfg: cfg, settle: true}
 	for _, opt := range opts {
@@ -529,7 +480,7 @@ func (s *System) Devices() int { return len(s.devices) }
 
 // NewCore allocates a simulated CPU core on a NUMA node.
 func (s *System) NewCore(node int) *eventsim.Core {
-	c := eventsim.NewCore(s.sim, s.coreID, node, s.coreHz)
+	c := eventsim.NewCore(s.sim, s.coreID, node, perf.TestbedCoreHz)
 	s.coreID++
 	return c
 }

@@ -16,7 +16,7 @@
 //
 // The public API mirrors the paper's Table II one-for-one:
 //
-//	sys, _ := dhl.Open(dhl.SystemConfig{})               // options: WithFaultPlan, WithControlPlane, ...
+//	sys, _ := dhl.Open(dhl.SystemConfig{})               // options: WithControlPlane, WithAutoTune, ...
 //	nfID, _ := sys.Register("my-nf", 0)                  // DHL_register()
 //	accID, _ := sys.SearchByName("ipsec-crypto", 0)      // DHL_search_by_name()
 //	_ = sys.AccConfigure(accID, cfgBlob)                 // DHL_acc_configure()

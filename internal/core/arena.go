@@ -230,7 +230,7 @@ func (ib *inflight) retryDMA(err error, again func()) bool {
 	if !errors.Is(err, pcie.ErrTransferFault) {
 		return false
 	}
-	if ib.retries >= t.r.cfg.MaxDMARetries {
+	if ib.retries >= maxDMARetries {
 		t.stats.DMARetryGiveUps++
 		return false
 	}
@@ -239,7 +239,7 @@ func (ib *inflight) retryDMA(err error, again func()) bool {
 	if t.tel != nil {
 		t.telC.Inc(telemetry.CounterDMARetries)
 	}
-	t.r.sim.After(t.r.cfg.RetryBackoff<<(ib.retries-1), again)
+	t.r.sim.After(retryBackoff<<(ib.retries-1), again)
 	return true
 }
 

@@ -30,7 +30,7 @@ func (r *Runtime) Nodes() int { return r.cfg.Nodes }
 func (r *Runtime) BatchBytes() int { return r.cfg.BatchBytes }
 
 // MinBatchBytes reports the adaptive-batching floor.
-func (r *Runtime) MinBatchBytes() int { return r.cfg.MinBatchBytes }
+func (r *Runtime) MinBatchBytes() int { return minBatchBytes }
 
 // FlushTimeout reports the global partial-batch flush deadline.
 func (r *Runtime) FlushTimeout() eventsim.Time { return r.cfg.FlushTimeout }
@@ -181,8 +181,8 @@ func (r *Runtime) ClearFallback(hfName string, node int) error {
 // at Open — segments are sized 2x the opening BatchBytes and are never
 // reallocated, which is what keeps the hot path at zero allocations).
 func (r *Runtime) SetBatchBytes(bytes int) error {
-	if bytes < r.cfg.MinBatchBytes {
-		return fmt.Errorf("%w: %d < min %d", ErrBadBatchConfig, bytes, r.cfg.MinBatchBytes)
+	if bytes < minBatchBytes {
+		return fmt.Errorf("%w: %d < min %d", ErrBadBatchConfig, bytes, minBatchBytes)
 	}
 	for _, tx := range r.nodeTx {
 		if tx != nil && bytes > tx.arena.segSize/2 {
@@ -198,7 +198,7 @@ func (r *Runtime) SetBatchBytes(bytes int) error {
 			if r.cfg.Batching == AdaptiveBatching {
 				// Preserve the controller's position, clamped to the new
 				// window; it keeps adapting from there.
-				st.effBatch = min(max(st.effBatch, r.cfg.MinBatchBytes), bytes)
+				st.effBatch = min(max(st.effBatch, minBatchBytes), bytes)
 			} else {
 				st.effBatch = bytes
 			}
@@ -232,8 +232,8 @@ func (r *Runtime) SetAccBatchBytes(acc AccID, bytes int) error {
 		return fmt.Errorf("%w: %d", ErrUnknownAcc, acc)
 	}
 	if bytes != 0 {
-		if bytes < r.cfg.MinBatchBytes {
-			return fmt.Errorf("%w: %d < min %d", ErrBadBatchConfig, bytes, r.cfg.MinBatchBytes)
+		if bytes < minBatchBytes {
+			return fmt.Errorf("%w: %d < min %d", ErrBadBatchConfig, bytes, minBatchBytes)
 		}
 		for _, tx := range r.nodeTx {
 			if tx != nil && bytes > tx.arena.segSize/2 {
@@ -258,7 +258,7 @@ func (r *Runtime) SetAccBatchBytes(acc AccID, bytes int) error {
 		}
 		st.batchCap = bytes
 		if r.cfg.Batching == AdaptiveBatching {
-			st.effBatch = min(max(st.effBatch, r.cfg.MinBatchBytes), target)
+			st.effBatch = min(max(st.effBatch, minBatchBytes), target)
 		} else {
 			st.effBatch = target
 		}

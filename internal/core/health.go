@@ -10,7 +10,7 @@ import (
 // Health is the per-accelerator health state, driven by a
 // consecutive-failure policy over batch outcomes:
 //
-//	Healthy --DegradeAfter fails--> Degraded --QuarantineAfter fails--> Quarantined
+//	Healthy --degradeAfter fails--> Degraded --quarantineAfter fails--> Quarantined
 //	   ^___________any success___________/                                  |
 //	   \________________PR reload completes + config replayed______________/
 //
@@ -26,7 +26,7 @@ type Health int
 const (
 	// HealthHealthy: batches flow to the accelerator normally.
 	HealthHealthy Health = iota + 1
-	// HealthDegraded: consecutive failures crossed DegradeAfter; traffic
+	// HealthDegraded: consecutive failures crossed degradeAfter; traffic
 	// still flows but one more streak quarantines.
 	HealthDegraded
 	// HealthQuarantined: traffic is rerouted and a background PR reload
@@ -131,9 +131,9 @@ func (r *Runtime) noteFault(e *hfEntry) {
 		return
 	}
 	e.consecFails++
-	if e.consecFails >= r.cfg.QuarantineAfter {
+	if e.consecFails >= quarantineAfter {
 		r.quarantine(e)
-	} else if e.consecFails >= r.cfg.DegradeAfter {
+	} else if e.consecFails >= degradeAfter {
 		if r.tel != nil && e.health != HealthDegraded {
 			r.tel.Health.Degraded.Inc()
 		}

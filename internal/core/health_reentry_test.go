@@ -30,7 +30,7 @@ func TestHealthFSMReentry(t *testing.T) {
 	lap := func(n int) {
 		t.Helper()
 		// Five consecutive faults: 2 to degrade, 5 to quarantine
-		// (DegradeAfter/QuarantineAfter defaults).
+		// (degradeAfter/quarantineAfter).
 		for i := 0; i < 5; i++ {
 			r.rt.noteFault(e)
 		}

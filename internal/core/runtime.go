@@ -67,6 +67,27 @@ func (m BatchingMode) String() string {
 	}
 }
 
+// Fixed transfer-layer thresholds: the batch floor, back-pressure, the
+// bounded DMA retry, and the Health FSM's consecutive-failure policy.
+const (
+	// minBatchBytes is the batch-size floor: adaptive batching never
+	// shrinks below it, and no live retune may go below it.
+	minBatchBytes = 512
+	// dmaBacklogCap is how much H2C backlog the TX core tolerates before
+	// pausing IBQ dequeue (back-pressure).
+	dmaBacklogCap = 15 * eventsim.Microsecond
+	// maxDMARetries bounds re-posts of a transfer failed with
+	// pcie.ErrTransferFault; the first waits retryBackoff and each
+	// further retry doubles it.
+	maxDMARetries = 2
+	retryBackoff  = 2 * eventsim.Microsecond
+	// degradeAfter and quarantineAfter are the consecutive batch
+	// failures that move an accelerator Healthy→Degraded and
+	// →Quarantined.
+	degradeAfter    = 2
+	quarantineAfter = 5
+)
+
 // FPGAAttachment pairs an FPGA device with its DMA engine.
 type FPGAAttachment struct {
 	Device *fpga.Device
@@ -83,10 +104,8 @@ type Config struct {
 	// FPGAs lists the attached boards with their DMA engines.
 	FPGAs []FPGAAttachment
 	// BatchBytes is the maximum DMA batch size. Zero selects the paper's
-	// 6 KB.
+	// 6 KB; below the 512-byte floor is refused.
 	BatchBytes int
-	// MinBatchBytes is the adaptive-batching floor. Zero selects 512.
-	MinBatchBytes int
 	// Batching selects fixed (default) or adaptive batch sizing.
 	Batching BatchingMode
 	// FlushTimeout bounds how long a partially filled batch may wait
@@ -98,9 +117,6 @@ type Config struct {
 	// OBQSize is each private output buffer queue's capacity. Zero
 	// selects 1024.
 	OBQSize int
-	// DMABacklogCap is how much H2C backlog the TX core tolerates before
-	// pausing IBQ dequeue (back-pressure). Zero selects 15us.
-	DMABacklogCap eventsim.Time
 	// Burst is the TX/RX poll cores' per-iteration dequeue burst: how many
 	// IBQ packets (TX) or DMA completions (RX) one poll claims. Zero
 	// selects 64, the rte_eth_rx_burst convention.
@@ -122,17 +138,6 @@ type Config struct {
 	// 250us — an order of magnitude above the perf model's worst
 	// DMA+module round trip at 6 KB batches.
 	WatchdogTimeout eventsim.Time
-	// MaxDMARetries bounds re-posts of a transfer failed with
-	// pcie.ErrTransferFault. Zero selects 2.
-	MaxDMARetries int
-	// RetryBackoff is the first retry's delay; each further retry doubles
-	// it. Zero selects 2us.
-	RetryBackoff eventsim.Time
-	// DegradeAfter and QuarantineAfter are the health FSM thresholds:
-	// consecutive batch failures to move an accelerator Healthy→Degraded
-	// and →Quarantined. Zero selects 2 and 5.
-	DegradeAfter    int
-	QuarantineAfter int
 
 	// Telemetry, when set, arms the zero-allocation telemetry layer: the
 	// per-batch stage clock (IBQ wait → pack → H2C → accelerator → C2H →
@@ -155,11 +160,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BatchBytes == 0 {
 		c.BatchBytes = perf.DefaultBatchBytes
 	}
-	if c.MinBatchBytes == 0 {
-		c.MinBatchBytes = 512
-	}
-	if c.MinBatchBytes > c.BatchBytes {
-		return c, fmt.Errorf("%w: min %d > max %d", ErrBadBatchConfig, c.MinBatchBytes, c.BatchBytes)
+	if c.BatchBytes < minBatchBytes {
+		return c, fmt.Errorf("%w: %d < min %d", ErrBadBatchConfig, c.BatchBytes, minBatchBytes)
 	}
 	if c.Batching == 0 {
 		c.Batching = FixedBatching
@@ -173,9 +175,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.OBQSize == 0 {
 		c.OBQSize = 1024
 	}
-	if c.DMABacklogCap == 0 {
-		c.DMABacklogCap = 15 * eventsim.Microsecond
-	}
 	if c.Burst == 0 {
 		c.Burst = 64
 	}
@@ -184,18 +183,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.WatchdogTimeout == 0 && c.Faults != nil {
 		c.WatchdogTimeout = 250 * eventsim.Microsecond
-	}
-	if c.MaxDMARetries == 0 {
-		c.MaxDMARetries = 2
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 2 * eventsim.Microsecond
-	}
-	if c.DegradeAfter == 0 {
-		c.DegradeAfter = 2
-	}
-	if c.QuarantineAfter == 0 {
-		c.QuarantineAfter = 5
 	}
 	return c, nil
 }

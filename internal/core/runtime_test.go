@@ -119,8 +119,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewRuntime(Config{}); err == nil {
 		t.Error("nil sim accepted")
 	}
-	if _, err := NewRuntime(Config{Sim: eventsim.New(), MinBatchBytes: 9000, BatchBytes: 6144}); !errors.Is(err, ErrBadBatchConfig) {
-		t.Errorf("min>max: %v", err)
+	if _, err := NewRuntime(Config{Sim: eventsim.New(), BatchBytes: 100}); !errors.Is(err, ErrBadBatchConfig) {
+		t.Errorf("batch below floor: %v", err)
 	}
 }
 
@@ -456,8 +456,8 @@ func TestAdaptiveBatchingShrinksUnderLightLoad(t *testing.T) {
 	if st == nil {
 		t.Fatal("no staging state")
 	}
-	if st.effBatch != r.rt.cfg.MinBatchBytes {
-		t.Errorf("adaptive effBatch %d, want floor %d", st.effBatch, r.rt.cfg.MinBatchBytes)
+	if st.effBatch != minBatchBytes {
+		t.Errorf("adaptive effBatch %d, want floor %d", st.effBatch, minBatchBytes)
 	}
 	// Drain.
 	out := make([]*mbuf.Mbuf, 16)

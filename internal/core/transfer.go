@@ -380,7 +380,7 @@ func (t *txEngine) body() (float64, func()) {
 	// leave packets in the IBQ so producers see the queue fill up.
 	congested := false
 	for i := range t.r.cfg.FPGAs {
-		if t.r.cfg.FPGAs[i].DMA.Backlog(pcie.H2C) > t.r.cfg.DMABacklogCap {
+		if t.r.cfg.FPGAs[i].DMA.Backlog(pcie.H2C) > dmaBacklogCap {
 			congested = true
 			break
 		}
@@ -618,7 +618,7 @@ func (t *txEngine) flush(acc AccID, st *accState, bySize bool) *inflight {
 		if bySize {
 			st.effBatch = min(st.effBatch*2, st.growCap(t.r.cfg.BatchBytes))
 		} else {
-			st.effBatch = max(st.effBatch/2, t.r.cfg.MinBatchBytes)
+			st.effBatch = max(st.effBatch/2, minBatchBytes)
 		}
 	}
 	if bySize {

@@ -34,6 +34,7 @@ package ctlplane
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -221,8 +222,17 @@ func (s *Server) serveDirectory(w http.ResponseWriter) {
 	_ = enc.Encode(dir)
 }
 
+// maxBodyBytes bounds one request body; a larger one is refused whole,
+// never truncated into a misleading parse error.
+const maxBodyBytes = 1 << 20
+
 func (s *Server) serveCall(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.writeError(w, nil, &Error{Code: CodeInvalidRequest, Message: "request body exceeds 1 MiB"})
+		return
+	}
 	if err != nil {
 		s.writeError(w, nil, &Error{Code: CodeParse, Message: "reading request body: " + err.Error()})
 		return

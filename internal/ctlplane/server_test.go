@@ -473,6 +473,23 @@ func TestProtocolErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRefused: a body past the 1 MiB bound is refused as an
+// invalid request, not truncated into a misleading parse error.
+func TestOversizedBodyRefused(t *testing.T) {
+	_, srv := newTestServer(t, newFakeBackend())
+	body := `{"jsonrpc":"2.0","id":1,"method":"sys.ping","params":"` + strings.Repeat("x", 2<<20) + `"}`
+	req := httptest.NewRequest(http.MethodPost, "/api/v1", strings.NewReader(body))
+	w := httptest.NewRecorder()
+	srv.serveHTTP(w, req)
+	var resp rpcResponse
+	if err := json.NewDecoder(w.Body).Decode(&resp); err != nil {
+		t.Fatalf("decoding response: %v", err)
+	}
+	if resp.Error == nil || resp.Error.Code != CodeInvalidRequest || resp.Error.Message != "request body exceeds 1 MiB" {
+		t.Errorf("2 MiB body: %+v", resp.Error)
+	}
+}
+
 func TestLoopIdleTimeout(t *testing.T) {
 	fb := newFakeBackend()
 	// Post drops the function: nothing ever drives the loop.

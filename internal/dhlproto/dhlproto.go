@@ -97,26 +97,24 @@ func AppendRecordHeader(batch []byte, nfID, accID uint16, payloadLen int) ([]byt
 }
 
 // Walk decodes batch record by record, invoking fn for each. The payload
-// slice aliases batch. Walk stops early if fn returns an error.
+// slice aliases batch. Walk stops early if fn returns an error; a framing
+// violation wraps ErrCorrupt with the offset of the bad record.
 func Walk(batch []byte, fn func(Record) error) error {
-	off := 0
-	for off < len(batch) {
-		if len(batch)-off < RecordOverhead {
-			return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(batch)-off)
+	var c Cursor
+	c.SetBatch(batch)
+	var rec Record
+	for {
+		ok, err := c.Next(&rec)
+		if err != nil {
+			return fmt.Errorf("%w: bad record at offset %d of %d bytes", err, c.Offset(), len(batch))
 		}
-		nfID := binary.BigEndian.Uint16(batch[off : off+2])
-		accID := binary.BigEndian.Uint16(batch[off+2 : off+4])
-		plen := int(binary.BigEndian.Uint16(batch[off+4 : off+6]))
-		off += RecordOverhead
-		if len(batch)-off < plen {
-			return fmt.Errorf("%w: record wants %d bytes, %d remain", ErrCorrupt, plen, len(batch)-off)
+		if !ok {
+			return nil
 		}
-		if err := fn(Record{NFID: nfID, AccID: accID, Payload: batch[off : off+plen]}); err != nil {
+		if err := fn(rec); err != nil {
 			return err
 		}
-		off += plen
 	}
-	return nil
 }
 
 // Cursor decodes a batch record by record without the callback (and the
@@ -133,31 +131,32 @@ func (c *Cursor) SetBatch(batch []byte) {
 	c.off = 0
 }
 
-// Offset reports the byte offset of the next record.
+// Offset reports the byte offset of the next record; after a framing
+// error, the offset of the record that failed to decode.
 func (c *Cursor) Offset() int { return c.off }
 
 // Next decodes the next record into rec, reporting false at the end of
 // the batch. Framing violations return the bare ErrCorrupt sentinel so
-// the decoder stays allocation-free; callers needing detail can report
-// Offset themselves.
+// the decoder stays allocation-free, and leave the cursor (and rec)
+// where they were; callers needing detail can report Offset themselves.
 //
 //dhl:hotpath
 func (c *Cursor) Next(rec *Record) (bool, error) {
-	if c.off >= len(c.batch) {
+	rest := c.batch[c.off:]
+	if len(rest) == 0 {
 		return false, nil
 	}
-	if len(c.batch)-c.off < RecordOverhead {
+	if len(rest) < RecordOverhead {
 		return false, ErrCorrupt
 	}
-	rec.NFID = binary.BigEndian.Uint16(c.batch[c.off : c.off+2])
-	rec.AccID = binary.BigEndian.Uint16(c.batch[c.off+2 : c.off+4])
-	plen := int(binary.BigEndian.Uint16(c.batch[c.off+4 : c.off+6]))
-	c.off += RecordOverhead
-	if len(c.batch)-c.off < plen {
+	end := RecordOverhead + int(binary.BigEndian.Uint16(rest[4:6]))
+	if len(rest) < end {
 		return false, ErrCorrupt
 	}
-	rec.Payload = c.batch[c.off : c.off+plen]
-	c.off += plen
+	rec.NFID = binary.BigEndian.Uint16(rest[0:2])
+	rec.AccID = binary.BigEndian.Uint16(rest[2:4])
+	rec.Payload = rest[RecordOverhead:end]
+	c.off += end
 	return true, nil
 }
 

@@ -190,25 +190,17 @@ func (r *Region) State() RegionState { return r.state }
 // Spec reports the loaded module's spec (zero value when empty).
 func (r *Region) Spec() ModuleSpec { return r.spec }
 
-// Config parameterizes a Device.
+// Config parameterizes a Device. The board itself is the paper's VC709:
+// XC7VX690T resource totals, the Table VI static region, the 250 MHz
+// base-design clock and the calibrated ICAP bandwidth (internal/perf).
 type Config struct {
 	// ID identifies the board (fpga_id).
 	ID int
 	// Node is the NUMA node whose PCIe root the board hangs off.
 	Node int
-	// TotalLUTs/TotalBRAM default to the XC7VX690T values.
-	TotalLUTs int
-	TotalBRAM int
-	// StaticLUTs/StaticBRAM default to the Table VI static region.
-	StaticLUTs int
-	StaticBRAM int
 	// Regions is the number of reconfigurable parts in the base design
 	// floorplan. Zero selects 8.
 	Regions int
-	// ClockHz defaults to the 250 MHz base-design clock.
-	ClockHz float64
-	// ICAPBytesPerSec defaults to the calibrated ICAP bandwidth.
-	ICAPBytesPerSec float64
 	// Faults is the shared fault-injection plan; nil disables injection.
 	// The module kinds (ModuleError/Garbage/Hang, RegionSEU) are drawn in
 	// Dispatch, once per batch, mutually exclusive per draw site.
@@ -221,26 +213,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.TotalLUTs == 0 {
-		c.TotalLUTs = perf.FPGATotalLUTs
-	}
-	if c.TotalBRAM == 0 {
-		c.TotalBRAM = perf.FPGATotalBRAM
-	}
-	if c.StaticLUTs == 0 {
-		c.StaticLUTs = perf.StaticRegionLUTs
-	}
-	if c.StaticBRAM == 0 {
-		c.StaticBRAM = perf.StaticRegionBRAM
-	}
 	if c.Regions == 0 {
 		c.Regions = 8
-	}
-	if c.ClockHz == 0 {
-		c.ClockHz = perf.FPGAClockHz
-	}
-	if c.ICAPBytesPerSec == 0 {
-		c.ICAPBytesPerSec = perf.ICAPBytesPerSec
 	}
 	return c
 }
@@ -366,12 +340,6 @@ func (d *Device) newCtx() *dispatchCtx {
 // NewDevice creates a device with an empty floorplan.
 func NewDevice(sim *eventsim.Sim, cfg Config) (*Device, error) {
 	cfg = cfg.withDefaults()
-	if cfg.StaticLUTs > cfg.TotalLUTs || cfg.StaticBRAM > cfg.TotalBRAM {
-		return nil, &InsufficientError{
-			NeedLUTs: cfg.StaticLUTs, NeedBRAM: cfg.StaticBRAM,
-			HaveLUTs: cfg.TotalLUTs, HaveBRAM: cfg.TotalBRAM,
-		}
-	}
 	d := &Device{sim: sim, cfg: cfg, regions: make([]Region, cfg.Regions)}
 	for i := range d.regions {
 		d.regions[i] = Region{idx: i, state: RegionEmpty}
@@ -399,30 +367,30 @@ func (d *Device) Region(idx int) (*Region, error) {
 // AvailableLUTs reports LUTs not consumed by the static region or loaded
 // modules.
 func (d *Device) AvailableLUTs() int {
-	return d.cfg.TotalLUTs - d.cfg.StaticLUTs - d.usedLUTs
+	return perf.FPGATotalLUTs - perf.StaticRegionLUTs - d.usedLUTs
 }
 
 // AvailableBRAM reports BRAM blocks not consumed by the static region or
 // loaded modules.
 func (d *Device) AvailableBRAM() int {
-	return d.cfg.TotalBRAM - d.cfg.StaticBRAM - d.usedBRAM
+	return perf.FPGATotalBRAM - perf.StaticRegionBRAM - d.usedBRAM
 }
 
 // UtilizationLUTs reports the fraction of device LUTs in use (static +
 // modules), the Table VI percentage.
 func (d *Device) UtilizationLUTs() float64 {
-	return float64(d.cfg.StaticLUTs+d.usedLUTs) / float64(d.cfg.TotalLUTs)
+	return float64(perf.StaticRegionLUTs+d.usedLUTs) / perf.FPGATotalLUTs
 }
 
 // UtilizationBRAM reports the fraction of device BRAM in use.
 func (d *Device) UtilizationBRAM() float64 {
-	return float64(d.cfg.StaticBRAM+d.usedBRAM) / float64(d.cfg.TotalBRAM)
+	return float64(perf.StaticRegionBRAM+d.usedBRAM) / perf.FPGATotalBRAM
 }
 
 // PRTime reports the modeled partial-reconfiguration time for a bitstream
 // of the given size (Table V: proportional to bitstream size).
 func (d *Device) PRTime(bitstreamBytes int) eventsim.Time {
-	return eventsim.Time(float64(bitstreamBytes) / d.cfg.ICAPBytesPerSec * 1e12)
+	return eventsim.Time(float64(bitstreamBytes) / perf.ICAPBytesPerSec * 1e12)
 }
 
 // Shutdown marks the device dead: every subsequent LoadPR, Reload,
@@ -672,7 +640,7 @@ func (d *Device) Dispatch(regionIdx int, batch, dst []byte, done func(out []byte
 	r.bytes += uint64(len(batch))
 	d.dispatched++
 	// Pipeline latency on top of serialization.
-	delay := eventsim.Time(float64(r.spec.DelayCycles) / d.cfg.ClockHz * 1e12)
+	delay := eventsim.Time(float64(r.spec.DelayCycles) / perf.FPGAClockHz * 1e12)
 	complete := r.freeAt + delay
 	if tel := d.cfg.Telemetry; tel != nil {
 		tel.Dispatch.Observe(complete - d.sim.Now())
@@ -720,12 +688,12 @@ func (d *Device) RegionStats(regionIdx int) (batches, bytes uint64, busy eventsi
 func (d *Device) Floorplan() string {
 	s := fmt.Sprintf("FPGA %d (node %d): %d/%d LUTs, %d/%d BRAM in use (%.2f%% / %.2f%%)\n",
 		d.cfg.ID, d.cfg.Node,
-		d.cfg.StaticLUTs+d.usedLUTs, d.cfg.TotalLUTs,
-		d.cfg.StaticBRAM+d.usedBRAM, d.cfg.TotalBRAM,
+		perf.StaticRegionLUTs+d.usedLUTs, perf.FPGATotalLUTs,
+		perf.StaticRegionBRAM+d.usedBRAM, perf.FPGATotalBRAM,
 		100*d.UtilizationLUTs(), 100*d.UtilizationBRAM())
 	s += fmt.Sprintf("  static region: %d LUTs (%.2f%%), %d BRAM (%.2f%%)\n",
-		d.cfg.StaticLUTs, 100*float64(d.cfg.StaticLUTs)/float64(d.cfg.TotalLUTs),
-		d.cfg.StaticBRAM, 100*float64(d.cfg.StaticBRAM)/float64(d.cfg.TotalBRAM))
+		perf.StaticRegionLUTs, 100*perf.StaticRegionLUTs/float64(perf.FPGATotalLUTs),
+		perf.StaticRegionBRAM, 100*perf.StaticRegionBRAM/float64(perf.FPGATotalBRAM))
 	for i := range d.regions {
 		r := &d.regions[i]
 		if r.state == RegionEmpty {

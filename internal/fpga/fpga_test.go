@@ -62,9 +62,6 @@ func TestDeviceDefaults(t *testing.T) {
 	if d.AvailableBRAM() != perf.FPGATotalBRAM-perf.StaticRegionBRAM {
 		t.Errorf("available BRAM %d", d.AvailableBRAM())
 	}
-	if _, err := NewDevice(eventsim.New(), Config{StaticLUTs: 10, TotalLUTs: 5, TotalBRAM: 10, StaticBRAM: 1}); err == nil {
-		t.Error("static > total accepted")
-	}
 }
 
 func TestLoadPRLifecycle(t *testing.T) {

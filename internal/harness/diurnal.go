@@ -47,8 +47,6 @@ type DiurnalConfig struct {
 	// AutoTune arms the adaptive batching controller; false runs the
 	// fixed-6KB baseline.
 	AutoTune bool
-	// Tuner overrides the controller configuration (zero: defaults).
-	Tuner tuner.Config
 	// PoolCapacity overrides the testbed mbuf pool size.
 	PoolCapacity int
 }
@@ -201,7 +199,7 @@ func RunDiurnal(cfg DiurnalConfig) (DiurnalResult, error) {
 
 	var tun *tuner.Tuner
 	if cfg.AutoTune {
-		tun, err = tuner.New(tb.sim, rt, tel, cfg.Tuner)
+		tun, err = tuner.New(tb.sim, rt, tel, tuner.Config{})
 		if err != nil {
 			return res, err
 		}

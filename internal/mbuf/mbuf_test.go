@@ -20,9 +20,6 @@ func TestPoolConfigValidation(t *testing.T) {
 	if _, err := NewPool(PoolConfig{Capacity: 0}); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := NewPool(PoolConfig{Capacity: 4, BufSize: 16}); err == nil {
-		t.Error("buf smaller than headroom accepted")
-	}
 	p, err := NewPool(PoolConfig{Name: "n", Capacity: 4, Node: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -13,12 +13,11 @@ import (
 // but the pool is also exercised by real-goroutine stress tests and by the
 // examples, which run outside the simulator.
 type Pool struct {
-	mu      sync.Mutex
-	name    string
-	node    int // NUMA node the pool's memory lives on (paper §IV-A2)
-	bufSize int
-	slots   []Mbuf
-	free    []int
+	mu    sync.Mutex
+	name  string
+	node  int // NUMA node the pool's memory lives on (paper §IV-A2)
+	slots []Mbuf
+	free  []int
 
 	allocs uint64
 	frees  uint64
@@ -29,11 +28,9 @@ type Pool struct {
 type PoolConfig struct {
 	// Name identifies the pool in diagnostics.
 	Name string
-	// Capacity is the number of mbufs pre-allocated.
+	// Capacity is the number of mbufs pre-allocated, each with a
+	// DefaultDataRoom buffer (headroom included).
 	Capacity int
-	// BufSize is the per-mbuf buffer size including headroom.
-	// Zero selects DefaultDataRoom.
-	BufSize int
 	// Node is the NUMA node of the backing memory.
 	Node int
 }
@@ -43,20 +40,13 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("mbuf: pool %q: capacity must be positive, got %d", cfg.Name, cfg.Capacity)
 	}
-	bufSize := cfg.BufSize
-	if bufSize == 0 {
-		bufSize = DefaultDataRoom
-	}
-	if bufSize < DefaultHeadroom {
-		return nil, fmt.Errorf("mbuf: pool %q: buf size %d smaller than headroom %d", cfg.Name, bufSize, DefaultHeadroom)
-	}
 	p := &Pool{
-		name:    cfg.Name,
-		node:    cfg.Node,
-		bufSize: bufSize,
-		slots:   make([]Mbuf, cfg.Capacity),
-		free:    make([]int, cfg.Capacity),
+		name:  cfg.Name,
+		node:  cfg.Node,
+		slots: make([]Mbuf, cfg.Capacity),
+		free:  make([]int, cfg.Capacity),
 	}
+	const bufSize = DefaultDataRoom
 	backing := make([]byte, cfg.Capacity*bufSize)
 	for i := range p.slots {
 		p.slots[i] = Mbuf{

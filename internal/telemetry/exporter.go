@@ -10,10 +10,22 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"time"
 )
 
 // ErrNotServing is returned by Close when the exporter never started.
 var ErrNotServing = errors.New("telemetry: exporter is not serving")
+
+// Connection bounds of the exporter's server, so a slow or stalled
+// client cannot hold a connection (and its goroutine) open indefinitely.
+// There is deliberately no write timeout: a control-plane
+// telemetry.delta long-poll holds its response for up to 60 s, and a
+// pprof profile for its whole sampling window.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // Exporter serves a Registry over HTTP:
 //
@@ -102,15 +114,26 @@ func (e *Exporter) buildHandler(mounts []mount) http.Handler {
 	return mux
 }
 
+// serverLocked returns the exporter's HTTP server, building it on first
+// use. The caller holds e.mu.
+func (e *Exporter) serverLocked() *http.Server {
+	if e.srv == nil {
+		e.srv = &http.Server{
+			Handler:           e.buildHandler(append([]mount(nil), e.mounts...)),
+			ReadHeaderTimeout: readHeaderTimeout,
+			ReadTimeout:       readTimeout,
+			IdleTimeout:       idleTimeout,
+		}
+	}
+	return e.srv
+}
+
 // Serve accepts connections on ln until Close (which returns
 // http.ErrServerClosed here) or a listener error. It blocks; use Start
 // for the common background case.
 func (e *Exporter) Serve(ln net.Listener) error {
 	e.mu.Lock()
-	if e.srv == nil {
-		e.srv = &http.Server{Handler: e.buildHandler(append([]mount(nil), e.mounts...))}
-	}
-	srv := e.srv
+	srv := e.serverLocked()
 	e.ln = ln
 	e.mu.Unlock()
 	return srv.Serve(ln)
@@ -126,9 +149,7 @@ func (e *Exporter) Start(addr string) (string, error) {
 	// Register the listener here, not in the goroutine, so Addr and Close
 	// see the server as soon as Start returns.
 	e.mu.Lock()
-	if e.srv == nil {
-		e.srv = &http.Server{Handler: e.buildHandler(append([]mount(nil), e.mounts...))}
-	}
+	e.serverLocked()
 	e.ln = ln
 	e.mu.Unlock()
 	go func() {

@@ -170,6 +170,28 @@ func TestExporterEndpoints(t *testing.T) {
 	get("/debug/pprof/cmdline")
 }
 
+// TestExporterServerBoundsClients checks the one server Start builds
+// bounds slow clients on every read phase but sets no write timeout,
+// which would cut off control-plane long-polls.
+func TestExporterServerBoundsClients(t *testing.T) {
+	e := NewExporter(New(0))
+	if _, err := e.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = e.Close() }()
+	e.mu.Lock()
+	srv := e.srv
+	e.mu.Unlock()
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadHeaderTimeout != readHeaderTimeout ||
+		srv.ReadTimeout <= 0 || srv.ReadTimeout != readTimeout ||
+		srv.IdleTimeout <= 0 || srv.IdleTimeout != idleTimeout {
+		t.Errorf("timeouts: header %v read %v idle %v", srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want 0 (long-polls hold the response)", srv.WriteTimeout)
+	}
+}
+
 func TestExporterCloseWithoutStart(t *testing.T) {
 	e := NewExporter(New(0))
 	if err := e.Close(); !errors.Is(err, ErrNotServing) {

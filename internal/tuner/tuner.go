@@ -28,11 +28,11 @@
 // Per window and per accelerator the Tuner computes the fill ratio
 // (average staged batch bytes / current target) and reads the node's IBQ
 // pressure (the high-water latch plus the refusal delta). Pressure or a
-// fill at or above HighFill is a grow signal; no pressure and a fill at
-// or below LowFill is a shrink signal. A signal must persist for
-// Hysteresis consecutive windows before the Tuner acts (the guard band
+// fill at or above highFill is a grow signal; no pressure and a fill at
+// or below lowFill is a shrink signal. A signal must persist for
+// hysteresis consecutive windows before the Tuner acts (the guard band
 // that keeps bursty traffic from flapping the configuration), and each
-// action is a doubling or halving clamped to the configured bounds —
+// action is a doubling or halving clamped to fixed bounds —
 // multiplicative so the controller converges in a handful of windows
 // from either extreme, bounded so it can never leave the envelope the
 // operator set.
@@ -67,68 +67,34 @@ type Actuator interface {
 
 var _ Actuator = (*core.Runtime)(nil)
 
-// Config parameterizes the control loop. The zero value selects the
-// defaults documented per field; bounds default to the runtime's own
-// global configuration so an unconfigured tuner can only move *down*
-// from the operator's fixed point, never above it.
+// Config parameterizes the control loop.
 type Config struct {
 	// Interval is the sampling window. Zero selects 200us — roughly ten
 	// 6 KB round trips, long enough to average out per-batch noise and
 	// short enough to track a load swing within a few milliseconds.
 	Interval eventsim.Time
-	// Hysteresis is how many consecutive windows a grow/shrink signal
-	// must persist before the Tuner acts. Zero selects 2.
-	Hysteresis int
-	// HighFill and LowFill are the fill-ratio guard bands: average batch
-	// bytes / target at or above HighFill is a grow signal, at or below
-	// LowFill a shrink signal, and the dead zone between them holds the
-	// current configuration. Zero selects 0.85 and 0.30.
-	HighFill, LowFill float64
-	// MinBatchBytes and MaxBatchBytes bound the per-acc batch target.
-	// Zero selects the runtime's MinBatchBytes floor and its global
-	// BatchBytes (the paper's 6 KB by default).
-	MinBatchBytes, MaxBatchBytes int
-	// MinFlushTimeout and MaxFlushTimeout bound the per-acc flush
-	// deadline. Zero selects 4us and the runtime's global FlushTimeout.
-	MinFlushTimeout, MaxFlushTimeout eventsim.Time
-	// MinBurst and MaxBurst bound the per-node poll burst. Zero selects
-	// 16 and 256.
-	MinBurst, MaxBurst int
 }
 
-func (c Config) withDefaults(act Actuator) Config {
-	if c.Interval == 0 {
-		c.Interval = 200 * eventsim.Microsecond
-	}
-	if c.Hysteresis == 0 {
-		c.Hysteresis = 2
-	}
-	if c.HighFill == 0 {
-		c.HighFill = 0.85
-	}
-	if c.LowFill == 0 {
-		c.LowFill = 0.30
-	}
-	if c.MinBatchBytes == 0 {
-		c.MinBatchBytes = act.MinBatchBytes()
-	}
-	if c.MaxBatchBytes == 0 {
-		c.MaxBatchBytes = act.BatchBytes()
-	}
-	if c.MinFlushTimeout == 0 {
-		c.MinFlushTimeout = 4 * eventsim.Microsecond
-	}
-	if c.MaxFlushTimeout == 0 {
-		c.MaxFlushTimeout = act.FlushTimeout()
-	}
-	if c.MinBurst == 0 {
-		c.MinBurst = 16
-	}
-	if c.MaxBurst == 0 {
-		c.MaxBurst = 256
-	}
-	return c
-}
+// The fixed control law. The batch and flush envelopes' upper bounds are
+// the runtime's own global configuration (read once, in New), so the
+// tuner can only move *down* from the operator's fixed point, never
+// above it; the batch floor is the runtime's MinBatchBytes.
+const (
+	// hysteresis is how many consecutive windows a grow/shrink signal
+	// must persist before the Tuner acts.
+	hysteresis = 2
+	// highFill and lowFill are the fill-ratio guard bands: average batch
+	// bytes / target at or above highFill is a grow signal, at or below
+	// lowFill a shrink signal, and the dead zone between them holds the
+	// current configuration.
+	highFill = 0.85
+	lowFill  = 0.30
+	// minFlushTimeout bounds the per-acc flush deadline from below.
+	minFlushTimeout = 4 * eventsim.Microsecond
+	// minBurst and maxBurst bound the per-node poll burst.
+	minBurst = 16
+	maxBurst = 256
+)
 
 // accCtl is the controller's per-accelerator state: the current targets
 // it has applied and the streak counters implementing hysteresis.
@@ -175,7 +141,12 @@ type Tuner struct {
 	sim *eventsim.Sim
 	act Actuator
 	tel *telemetry.Registry
-	cfg Config
+
+	interval eventsim.Time
+	// The per-acc envelope: batch target in [minBatch, maxBatch], flush
+	// deadline in [minFlushTimeout, maxFlush].
+	minBatch, maxBatch int
+	maxFlush           eventsim.Time
 
 	timer   *eventsim.Timer
 	enabled bool
@@ -193,7 +164,7 @@ type Tuner struct {
 
 // New builds a Tuner over the runtime's actuation surface and telemetry
 // registry. tel must be the registry the runtime records into (the Tuner
-// reads its span ring); cfg zero-values select the documented defaults.
+// reads its span ring); a zero cfg.Interval selects the 200us default.
 func New(sim *eventsim.Sim, act Actuator, tel *telemetry.Registry, cfg Config) (*Tuner, error) {
 	if sim == nil || act == nil {
 		return nil, fmt.Errorf("tuner: sim and actuator are required")
@@ -201,14 +172,20 @@ func New(sim *eventsim.Sim, act Actuator, tel *telemetry.Registry, cfg Config) (
 	if tel == nil {
 		return nil, fmt.Errorf("tuner: telemetry registry is required (the tuner's signals are the span ring and stage histograms)")
 	}
+	if cfg.Interval == 0 {
+		cfg.Interval = 200 * eventsim.Microsecond
+	}
 	t := &Tuner{
-		sim:     sim,
-		act:     act,
-		tel:     tel,
-		cfg:     cfg.withDefaults(act),
-		accs:    make(map[core.AccID]*accCtl),
-		nodes:   make([]nodeCtl, act.Nodes()),
-		spanBuf: make([]telemetry.Span, tel.Spans.Cap()),
+		sim:      sim,
+		act:      act,
+		tel:      tel,
+		interval: cfg.Interval,
+		minBatch: act.MinBatchBytes(),
+		maxBatch: act.BatchBytes(),
+		maxFlush: act.FlushTimeout(),
+		accs:     make(map[core.AccID]*accCtl),
+		nodes:    make([]nodeCtl, act.Nodes()),
+		spanBuf:  make([]telemetry.Span, tel.Spans.Cap()),
 	}
 	t.timer = sim.NewTimer(t.tick)
 	return t, nil
@@ -233,7 +210,7 @@ func (t *Tuner) Enable() error {
 	_, t.lastSeq = t.tel.Spans.CopySince(^uint64(0), t.spanBuf)
 	t.armGauges()
 	t.enabled = true
-	t.timer.Reset(t.cfg.Interval)
+	t.timer.Reset(t.interval)
 	return nil
 }
 
@@ -257,8 +234,8 @@ func (t *Tuner) Disable() error {
 		if err := t.act.SetAccFlushTimeout(acc, 0); err != nil {
 			continue
 		}
-		ctl.target = t.cfg.MaxBatchBytes
-		ctl.flush = t.cfg.MaxFlushTimeout
+		ctl.target = t.maxBatch
+		ctl.flush = t.maxFlush
 		ctl.upStreak, ctl.downStreak = 0, 0
 	}
 	for node := range t.nodes {
@@ -333,7 +310,7 @@ func (t *Tuner) tick() {
 		t.decideBurst(node)
 	}
 
-	t.timer.Reset(t.cfg.Interval)
+	t.timer.Reset(t.interval)
 }
 
 // spanLatency is a batch's end-to-end latency: first packet staged to
@@ -364,8 +341,8 @@ func (t *Tuner) adoptAcc(acc core.AccID) *accCtl {
 		acc:    acc,
 		name:   info.Name,
 		node:   info.Node,
-		target: t.cfg.MaxBatchBytes,
-		flush:  t.cfg.MaxFlushTimeout,
+		target: t.maxBatch,
+		flush:  t.maxFlush,
 	}
 	if ctl.node < 0 || ctl.node >= len(t.nodes) {
 		ctl.node = 0
@@ -397,23 +374,23 @@ func (t *Tuner) decide(ctl *accCtl) {
 	pressured := nc.hot || nc.winRejects > 0
 
 	switch {
-	case pressured || fill >= t.cfg.HighFill:
+	case pressured || fill >= highFill:
 		ctl.upStreak++
 		ctl.downStreak = 0
-	case fill <= t.cfg.LowFill:
+	case fill <= lowFill:
 		ctl.downStreak++
 		ctl.upStreak = 0
 	default:
 		ctl.upStreak, ctl.downStreak = 0, 0
 	}
 
-	if ctl.upStreak >= t.cfg.Hysteresis {
-		target := min(ctl.target*2, t.cfg.MaxBatchBytes)
-		flush := min(ctl.flush*2, t.cfg.MaxFlushTimeout)
+	if ctl.upStreak >= hysteresis {
+		target := min(ctl.target*2, t.maxBatch)
+		flush := min(ctl.flush*2, t.maxFlush)
 		t.apply(ctl, target, flush, true)
-	} else if ctl.downStreak >= t.cfg.Hysteresis {
-		target := max(ctl.target/2, t.cfg.MinBatchBytes)
-		flush := max(ctl.flush/2, t.cfg.MinFlushTimeout)
+	} else if ctl.downStreak >= hysteresis {
+		target := max(ctl.target/2, t.minBatch)
+		flush := max(ctl.flush/2, minFlushTimeout)
 		t.apply(ctl, target, flush, false)
 	}
 }
@@ -447,7 +424,7 @@ func (t *Tuner) apply(ctl *accCtl, target int, flush eventsim.Time, grow bool) {
 // cores' claim width (drain the IBQ faster), a lightly filled window
 // shrinks it back (smaller claims, lower per-poll latency). The same
 // hysteresis as the per-acc law applies — a direction must persist for
-// Hysteresis consecutive windows before the burst moves.
+// hysteresis consecutive windows before the burst moves.
 func (t *Tuner) decideBurst(node int) {
 	nc := &t.nodes[node]
 	if nc.burst == 0 {
@@ -458,7 +435,7 @@ func (t *Tuner) decideBurst(node int) {
 		nc.upStreak++
 		nc.downStreak = 0
 	case nc.winBatches > 0 &&
-		float64(nc.winBytes)/float64(nc.winBatches) <= t.cfg.LowFill*float64(t.cfg.MaxBatchBytes):
+		float64(nc.winBytes)/float64(nc.winBatches) <= lowFill*float64(t.maxBatch):
 		nc.downStreak++
 		nc.upStreak = 0
 	default:
@@ -467,10 +444,10 @@ func (t *Tuner) decideBurst(node int) {
 	}
 	var want int
 	switch {
-	case nc.upStreak >= t.cfg.Hysteresis:
-		want = min(nc.burst*2, t.cfg.MaxBurst)
-	case nc.downStreak >= t.cfg.Hysteresis:
-		want = max(nc.burst/2, t.cfg.MinBurst)
+	case nc.upStreak >= hysteresis:
+		want = min(nc.burst*2, maxBurst)
+	case nc.downStreak >= hysteresis:
+		want = max(nc.burst/2, minBurst)
 	default:
 		return
 	}
@@ -554,7 +531,7 @@ func (t *Tuner) Decisions() (grow, shrink uint64) { return t.growDecs, t.shrinkD
 func (t *Tuner) Status() Status {
 	s := Status{
 		Enabled:         t.enabled,
-		IntervalUs:      float64(t.cfg.Interval) / float64(eventsim.Microsecond),
+		IntervalUs:      float64(t.interval) / float64(eventsim.Microsecond),
 		Windows:         t.windows,
 		GrowDecisions:   t.growDecs,
 		ShrinkDecisions: t.shrinkDecs,

@@ -88,7 +88,7 @@ func newTestTuner(t *testing.T, act *fakeAct) (*Tuner, *eventsim.Sim, *telemetry
 // window advances virtual time by one sampling interval so the armed
 // timer fires exactly once.
 func window(sim *eventsim.Sim, tun *Tuner) {
-	sim.Run(sim.Now() + tun.cfg.Interval + eventsim.Nanosecond)
+	sim.Run(sim.Now() + tun.interval + eventsim.Nanosecond)
 }
 
 func TestTunerShrinksOnLowFill(t *testing.T) {

@@ -6,9 +6,9 @@
 # the build, then the race-clean short test suite, then a full (un-short)
 # race pass over the two lock-free packages whose bugs only show up under
 # the race detector. The dhl-bench golden step diffs every simulated
-# output against testdata/dhl-bench-quick-all.golden, BENCH_pr8.json and
-# testdata/harness-fault-runs.golden: a change that is meant to be
-# host-only must leave them byte-identical.
+# output against testdata/dhl-bench-quick-all.golden, BENCH_pr8.json,
+# BENCH_pr10.json and testdata/harness-fault-runs.golden: a change that
+# is meant to be host-only must leave them byte-identical.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,12 +60,19 @@ go build -o "$bench_dir/dhl-bench" ./cmd/dhl-bench
 diff -u testdata/dhl-bench-quick-all.golden "$bench_dir/all.txt"
 "$bench_dir/dhl-bench" -quick -json flowscale > "$bench_dir/flowscale.json"
 diff -u BENCH_pr8.json "$bench_dir/flowscale.json"
+# The full-window T5 autotuner run: the output most exposed to the
+# tuner's control-law constants.
+"$bench_dir/dhl-bench" -json diurnal > "$bench_dir/diurnal.json"
+diff -u BENCH_pr10.json "$bench_dir/diurnal.json"
 rm -rf "$bench_dir"
 # The two fault experiments dhl-bench does not print (SEU failover, NAT
 # flow-state audit) are pinned by a root golden test.
 go test -count=1 -run 'TestHarnessFaultRunsGolden' .
 # perfbench's own testbed must agree with harness.RunSingleNF (2%).
 (cd perfbench && go test -count=1 -run TestFidelityIPsecLineRate ./...)
+
+echo "==> fuzz smoke (batch decoder, 10s; a crasher lands in internal/dhlproto/testdata/fuzz)"
+go test -run '^$' -fuzz '^FuzzCursor$' -fuzztime 10s ./internal/dhlproto
 
 echo "==> chaos smoke (seeded fault-injection soak, -short)"
 go test -run Chaos -short -count=1 ./internal/core ./internal/harness

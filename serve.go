@@ -153,7 +153,7 @@ func (s *System) ClearFallback(hfName string, node int) error {
 func (s *System) SetBatchBytes(bytes int) error { return s.rt.SetBatchBytes(bytes) }
 
 // SetWatchdogTimeout retunes (or arms, or with 0 disarms) the per-batch
-// watchdog live. Microseconds, matching SystemConfig.WatchdogTimeoutUs.
+// watchdog live. Microseconds, matching WatchdogTimeoutUs.
 func (s *System) SetWatchdogTimeout(us int) error {
 	return s.rt.SetWatchdogTimeout(eventsim.Time(us) * eventsim.Microsecond)
 }
